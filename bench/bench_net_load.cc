@@ -116,7 +116,7 @@ void DriveConns(const LoadConfig& config, uint16_t port, int conns,
       bool dead = false;
       for (int d = 0; d < config.depth && !dead; ++d) {
         const uint64_t id = static_cast<uint64_t>(w) * config.depth + d + 1;
-        if (!WriteFrame(socks[c], req_type, *payload, kWireVersion, id).ok()) {
+        if (!WriteFrame(socks[c], req_type, *payload, id).ok()) {
           ++*errors;
           dead = true;
         }

@@ -15,8 +15,8 @@
 //   xcrypt_serve --demo [--port 7077] ...
 //
 // --catalog serves every *.xcr bundle in DIR as its own database, routed
-// by filename stem (wire v4 requests carry a db name; v3 clients get
-// --default-db). Bundles load lazily on first use and hot-reload when
+// by filename stem (each request carries a db name; requests naming none
+// get --default-db). Bundles load lazily on first use and hot-reload when
 // the file changes on disk — in-flight queries finish on the old image.
 //
 // --memory-budget BYTES (suffixes K/M/G accepted) bounds what the
@@ -45,12 +45,12 @@
 //
 // --idle-timeout reaps connections with no request in flight and nothing
 // buffered for that many seconds (0 = never, the default). --pipeline-
-// depth bounds how many wire-v6 requests one connection may have in
+// depth bounds how many requests one connection may have in
 // flight at once before the reactor stops reading it.
 //
-// --allow-updates accepts owner-pushed delta bundles (wire v5): each
-// delta advances the named database in place and connected v5 clients
-// get invalidation pushes for the blocks it touched. Off by default —
+// --allow-updates accepts owner-pushed delta bundles: each delta
+// advances the named database in place and connected clients get
+// invalidation pushes for the blocks it touched. Off by default —
 // an update mutates hosted state, so the operator must opt in.
 //
 // --metrics-json dumps the daemon's metrics registry (request counters +

@@ -16,7 +16,10 @@
 # incremental-update suite (delta format fuzzing, WAL replay, the
 # concurrent update-storm e2e) must pass standalone in every build —
 # under TSan this is the run that proves readers never see a torn
-# database mid-apply. The UBSan build additionally gates on
+# database mid-apply. The plain build also reruns the whole suite with
+# `ctest --repeat until-fail:5`, so a test that shares scratch state with
+# another fails the check rather than passing on a lucky run. The UBSan
+# build additionally gates on
 # `ctest -L net`: the wire codecs are where attacker-controlled bytes
 # meet integer arithmetic (frame headers, slot sizes, the v7
 # probe-batch padding math, the LWE u32 dot products), and the net
@@ -57,6 +60,13 @@ run_build() {
     (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" -L net)
   fi
   if [ "${name}" = plain ]; then
+    # Repeat gate: every test five times over, in parallel, so a test
+    # that shares state with another (a fixed scratch path, a port) fails
+    # the check instead of passing on a lucky interleaving. The timing
+    # gates are left to their serial lane below.
+    echo "==> [${name}] ctest --repeat until-fail:5"
+    (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" \
+                          --repeat until-fail:5 -LE perfsmoke)
     # Perf-smoke gate: the structural-join fast path must stay
     # output-linear (pair_join at 1e5 intervals within its time bound),
     # the reactor must serve 64 active pipelined connections amid a

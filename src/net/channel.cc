@@ -4,8 +4,8 @@ namespace xcrypt {
 namespace net {
 
 Status WriteFrame(Socket& sock, MessageType type, const Bytes& payload,
-                  uint8_t version, uint64_t frame_id) {
-  const Bytes frame = EncodeFrame(type, payload, version, frame_id);
+                  uint64_t frame_id) {
+  const Bytes frame = EncodeFrame(type, payload, frame_id);
   return sock.SendAll(frame.data(), frame.size());
 }
 
@@ -18,12 +18,7 @@ Result<Frame> ReadFrame(Socket& sock, uint64_t max_frame_bytes,
   uint32_t payload_length = 0;
   auto frame = DecodeFrameHeader(header, max_frame_bytes, &payload_length);
   if (!frame.ok()) return frame.status();
-  if (frame->version >= 6) {
-    uint8_t id_buf[kFrameIdBytes];
-    XCRYPT_RETURN_NOT_OK(sock.RecvAll(id_buf, sizeof(id_buf), timeout_sec,
-                                      cancel, /*allow_idle=*/false));
-    frame->frame_id = DecodeFrameId(id_buf);
-  }
+  frame->frame_id = DecodeFrameId(header + kFramePrefixBytes);
   frame->payload.resize(payload_length);
   if (payload_length > 0) {
     XCRYPT_RETURN_NOT_OK(sock.RecvAll(frame->payload.data(), payload_length,

@@ -9,16 +9,13 @@
 namespace xcrypt {
 namespace net {
 
-/// Sends one complete frame. A daemon passes the version of the request
-/// frame it is answering, so a v3 session gets v3 replies. `frame_id` is
-/// written only at version ≥ 6 (see wire.h).
+/// Sends one complete frame.
 Status WriteFrame(Socket& sock, MessageType type, const Bytes& payload,
-                  uint8_t version = kWireVersion, uint64_t frame_id = 0);
+                  uint64_t frame_id = 0);
 
 /// Receives one complete frame: header first (validated before the
 /// payload is allocated, so a corrupt length can never balloon memory),
-/// then the v6 frame id when the header announces version ≥ 6, then
-/// exactly the announced payload. `allow_idle` lets a reader wait
+/// then exactly the announced payload. `allow_idle` lets a reader wait
 /// indefinitely for the *start* of the next frame on a persistent
 /// connection while still bounding how long a partial frame may stall.
 /// Framing violations (bad magic/type/length) return Corruption or

@@ -235,7 +235,7 @@ Result<Frame> RemoteServerEngine::RoundTrip(
   stats->transport = EngineCallStats::Transport::kRemote;
   Status last_error = Status::Unavailable("no attempt made");
   double backoff_ms = 0.0;        // previous sleep; 0 before any retry
-  double server_hint_ms = 0.0;    // daemon-suggested floor (wire v4)
+  double server_hint_ms = 0.0;    // daemon-suggested floor
 
   for (int attempt = 0; attempt < options_.retry.max_attempts; ++attempt) {
     if (attempt > 0) {
@@ -288,7 +288,7 @@ Result<Frame> RemoteServerEngine::RoundTrip(
     Status sent;
     {
       std::lock_guard<std::mutex> lock(transport->send_mu);
-      const Bytes frame = EncodeFrame(type, payload, kWireVersion, id);
+      const Bytes frame = EncodeFrame(type, payload, id);
       sent = transport->sock.SendAll(frame.data(), frame.size());
     }
     if (!sent.ok()) {
@@ -330,13 +330,13 @@ Result<Frame> RemoteServerEngine::RoundTrip(
     }
 
     stats->round_trip_us = watch.ElapsedMicros();
-    stats->bytes_sent = static_cast<int64_t>(FrameHeaderBytes(kWireVersion) +
-                                             payload.size());
-    stats->bytes_received = static_cast<int64_t>(
-        FrameHeaderBytes(reply.version) + reply.payload.size());
+    stats->bytes_sent =
+        static_cast<int64_t>(kFrameHeaderBytes + payload.size());
+    stats->bytes_received =
+        static_cast<int64_t>(kFrameHeaderBytes + reply.payload.size());
     if (reply.type == MessageType::kError) {
       double hint_ms = 0.0;
-      last_error = DecodeError(reply.payload, reply.version, &hint_ms);
+      last_error = DecodeError(reply.payload, &hint_ms);
       if (last_error.code() == StatusCode::kUnavailable) {
         // Admission-control shed: transient by definition, and the frame
         // arrived intact — keep the connection and retry after the
@@ -525,7 +525,7 @@ Result<NetStats> RemoteServerEngine::Stats(const NetCallOptions& opts) const {
       },
       MessageType::kStatsResponse, &stats);
   if (!reply.ok()) return reply.status();
-  return DecodeStats(reply->payload, reply->version);
+  return DecodeStats(reply->payload);
 }
 
 Result<privacy::PirTransport::Setup> RemoteServerEngine::PirSetup(

@@ -50,7 +50,7 @@ struct RemoteOptions {
   /// Retry discipline; see RetryPolicy.
   RetryPolicy retry;
   uint64_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Which of the daemon's databases this session targets (wire v4).
+  /// Which of the daemon's databases this session targets.
   /// Empty = the daemon's default database. A per-call ExecOptions::db
   /// overrides it for that call.
   std::string database;
@@ -74,7 +74,7 @@ double NextBackoffMs(double prev_ms, double base_ms, double cap_ms, Rng& rng);
 /// swaps this in for the in-process engine without touching the protocol
 /// of §6.
 ///
-/// The transport is multiplexed (wire v6): every request carries a frame
+/// The transport is multiplexed: every request carries a frame
 /// id, a dedicated reader thread matches responses back to callers by id,
 /// and any number of threads sharing one stub have their requests in
 /// flight on the single connection concurrently — they serialize only on
@@ -110,7 +110,7 @@ class RemoteServerEngine : public QueryEngine, public privacy::PirTransport {
   /// reply describes (empty = the session database, or daemon default).
   Result<NetStats> Stats(const NetCallOptions& opts = NetCallOptions()) const;
 
-  /// privacy::PirTransport over the wire (v7): setup downloads a hosted
+  /// privacy::PirTransport over the wire: setup downloads a hosted
   /// section's params + hint, fetch ships one selection vector. Both
   /// target the session database and retry per RetryPolicy like every
   /// other call.
@@ -128,10 +128,9 @@ class RemoteServerEngine : public QueryEngine, public privacy::PirTransport {
       const Bytes& delta_image,
       const NetCallOptions& opts = NetCallOptions()) const;
 
-  /// Installs the handler for server-pushed invalidation events (wire
-  /// v5). Runs on the transport's reader thread, between response
-  /// dispatches — it must be fast and must not call back into this
-  /// engine.
+  /// Installs the handler for server-pushed invalidation events. Runs on
+  /// the transport's reader thread, between response dispatches — it must
+  /// be fast and must not call back into this engine.
   void SetInvalidationSink(
       std::function<void(const InvalidationEventMsg&)> sink) {
     std::lock_guard<std::mutex> lock(sink_mu_);
@@ -196,7 +195,7 @@ class RemoteServerEngine : public QueryEngine, public privacy::PirTransport {
   std::vector<BlockAdvert> AdvertsFor(
       std::span<const BlockAdvert> original) const;
 
-  /// The probe-batch path of Execute (wire v7): mixes the real query into
+  /// The probe-batch path of Execute: mixes the real query into
   /// opts.cover_queries at a jitter-chosen position, sends one
   /// kProbeBatchRequest, and keeps only the real probe's answer.
   Result<EngineQueryResult> ExecuteBatch(const TranslatedQuery& query,

@@ -37,6 +37,48 @@ Clock::duration SecondsToDuration(double seconds) {
       std::chrono::duration<double>(seconds));
 }
 
+FrameParts ErrorFrame(const Status& error, uint64_t frame_id,
+                      double retry_after_ms = 0.0) {
+  return EncodeFrameParts(MessageType::kError,
+                          {EncodeError(error, retry_after_ms)}, frame_id);
+}
+
+/// Runs one engine call the way every served query-class request runs:
+/// traced (the phase decomposition rides back inside the response) and
+/// with the client's cache advert. On success ticks `served` and records
+/// the call's wall time in `latency`.
+template <typename Call>
+auto TracedCall(std::span<const BlockAdvert> cached,
+                std::atomic<uint64_t>& served, obs::Histogram* latency,
+                Call&& call) {
+  Stopwatch watch;
+  obs::Trace trace;
+  obs::QueryContext qctx;
+  qctx.trace = &trace;
+  ExecOptions exec;
+  exec.ctx = &qctx;
+  exec.cached_blocks = cached;
+  auto result = call(exec);
+  if (result.ok()) {
+    served.fetch_add(1, std::memory_order_relaxed);
+    latency->Observe(watch.ElapsedMicros());
+  }
+  return result;
+}
+
+/// Frames a query or naive evaluation as a kQueryResponse, moving large
+/// ciphertexts into their own writev segments.
+Result<FrameParts> QueryReply(Result<EngineQueryResult> result,
+                              uint64_t frame_id) {
+  if (!result.ok()) return result.status();
+  return EncodeFrameParts(
+      MessageType::kQueryResponse,
+      EncodeQueryResponseParts(std::move(result->response),
+                               result->stats.server_process_us,
+                               result->stats.server_phases),
+      frame_id);
+}
+
 }  // namespace
 
 /// One connection's reactor state. Everything above `mu` is touched only
@@ -48,10 +90,9 @@ struct NetServer::Conn {
 
   Bytes in;           ///< unparsed input bytes
   size_t in_off = 0;  ///< consumed prefix of `in`
-  /// Wire version of the latest parsed request (0 until the peer speaks).
-  /// Governs reply framing for pushes, pipelining depth, and whether the
-  /// session is eligible for invalidation events (≥ 5).
-  uint8_t version = 0;
+  /// The peer has sent a valid frame. Only such sessions get invalidation
+  /// pushes: an idle, never-spoken connection is not caching anything.
+  bool spoken = false;
   uint64_t inv_seen = 0;
   std::deque<Frame> parsed;  ///< complete frames awaiting dispatch
   bool read_closed = false;  ///< EOF or broken framing: no more reads
@@ -63,8 +104,7 @@ struct NetServer::Conn {
   std::mutex mu;
   std::deque<Bytes> out;  ///< pending output segments (writev queue)
   size_t out_off = 0;     ///< bytes of out.front() already on the wire
-  int inflight = 0;          ///< dispatched requests awaiting replies
-  int inflight_legacy = 0;   ///< of those, pre-v6 (strictly serial) ones
+  int inflight = 0;     ///< dispatched requests awaiting replies
   bool close_after_flush = false;
   bool closed = false;  ///< fd closed; late replies are dropped
 };
@@ -414,7 +454,7 @@ void NetServer::IoLoop(IoThread* io) {
       std::vector<std::shared_ptr<Conn>> snapshot;
       snapshot.reserve(io->conns.size());
       for (const auto& [fd, conn] : io->conns) {
-        if (conn->version >= 5) snapshot.push_back(conn);
+        if (conn->spoken) snapshot.push_back(conn);
       }
       for (const auto& conn : snapshot) ProcessConn(io, conn);
     }
@@ -494,7 +534,7 @@ void NetServer::ProcessConn(IoThread* io, const std::shared_ptr<Conn>& conn) {
     CloseConn(io, conn);
     return;
   }
-  if (conn->version >= 5 &&
+  if (conn->spoken &&
       conn->inv_seen < inv_seq_.load(std::memory_order_acquire)) {
     FlushConnInvalidations(conn.get());
     if (!FlushOutput(conn.get())) {
@@ -517,10 +557,11 @@ void NetServer::ProcessConn(IoThread* io, const std::shared_ptr<Conn>& conn) {
 
 bool NetServer::ReadInput(IoThread* io, const std::shared_ptr<Conn>& conn) {
   // Backpressure: a full parsed backlog means dispatch is blocked on the
-  // pipeline depth (or a serial legacy request) — leave further bytes in
-  // the kernel buffer so TCP flow control reaches the peer.
-  int limit = conn->version >= 6 ? options_.max_pipeline_depth : 1;
-  if (static_cast<int>(conn->parsed.size()) >= limit) return true;
+  // pipeline depth — leave further bytes in the kernel buffer so TCP flow
+  // control reaches the peer.
+  if (static_cast<int>(conn->parsed.size()) >= options_.max_pipeline_depth) {
+    return true;
+  }
   for (int round = 0; round < kMaxReadChunksPerRound; ++round) {
     const size_t old_size = conn->in.size();
     conn->in.resize(old_size + kReadChunk);
@@ -548,11 +589,9 @@ bool NetServer::ReadInput(IoThread* io, const std::shared_ptr<Conn>& conn) {
 }
 
 bool NetServer::ParseFrames(const std::shared_ptr<Conn>& conn) {
-  while (true) {
-    const int limit = conn->version >= 6 ? options_.max_pipeline_depth : 1;
-    if (static_cast<int>(conn->parsed.size()) >= limit) break;
+  while (static_cast<int>(conn->parsed.size()) < options_.max_pipeline_depth) {
     const size_t avail = conn->in.size() - conn->in_off;
-    if (avail < kFrameHeaderBytes) {
+    if (avail < kFramePrefixBytes) {
       if (avail > 0 && !conn->mid_frame) {
         conn->mid_frame = true;
         conn->frame_start = Clock::now();
@@ -563,26 +602,20 @@ bool NetServer::ParseFrames(const std::shared_ptr<Conn>& conn) {
     auto frame = DecodeFrameHeader(conn->in.data() + conn->in_off,
                                    options_.max_frame_bytes, &payload_length);
     if (!frame.ok()) {
-      // Framing violation: report it, then close once the error flushes —
-      // after a bad header the stream is no longer frame-aligned.
+      // Framing violation (including any other wire version): report it,
+      // then close once the error flushes — after a bad header the stream
+      // is no longer frame-aligned.
       errors_.fetch_add(1, std::memory_order_relaxed);
-      const uint8_t version =
-          conn->version >= kMinWireVersion ? conn->version : kWireVersion;
-      FrameParts parts =
-          EncodeFrameParts(MessageType::kError,
-                           {EncodeError(frame.status(), 0.0, version)},
-                           version, 0);
-      bytes_sent_.fetch_add(FramePartsBytes(parts), std::memory_order_relaxed);
       conn->read_closed = true;
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->close_after_flush = true;
-      for (Bytes& part : parts) {
-        if (!part.empty()) conn->out.push_back(std::move(part));
+      {
+        std::lock_guard<std::mutex> lock(conn->mu);
+        conn->close_after_flush = true;
       }
+      EnqueueReply(conn, ErrorFrame(frame.status(), /*frame_id=*/0));
       return false;
     }
-    const size_t header_bytes = FrameHeaderBytes(frame->version);
-    if (avail < header_bytes + payload_length) {
+    const size_t frame_bytes = kFrameHeaderBytes + payload_length;
+    if (avail < frame_bytes) {
       if (!conn->mid_frame) {
         conn->mid_frame = true;
         conn->frame_start = Clock::now();
@@ -590,16 +623,13 @@ bool NetServer::ParseFrames(const std::shared_ptr<Conn>& conn) {
       break;
     }
     const uint8_t* base = conn->in.data() + conn->in_off;
-    if (frame->version >= 6) {
-      frame->frame_id = DecodeFrameId(base + kFrameHeaderBytes);
-    }
-    frame->payload.assign(base + header_bytes,
-                          base + header_bytes + payload_length);
-    conn->in_off += header_bytes + payload_length;
+    frame->frame_id = DecodeFrameId(base + kFramePrefixBytes);
+    frame->payload.assign(base + kFrameHeaderBytes,
+                          base + kFrameHeaderBytes + payload_length);
+    conn->in_off += frame_bytes;
     conn->mid_frame = false;
-    conn->version = frame->version;
-    bytes_received_.fetch_add(header_bytes + payload_length,
-                              std::memory_order_relaxed);
+    conn->spoken = true;
+    bytes_received_.fetch_add(frame_bytes, std::memory_order_relaxed);
     conn->parsed.push_back(std::move(*frame));
   }
   // Compact the consumed prefix once it is worth the memmove.
@@ -617,22 +647,10 @@ bool NetServer::ParseFrames(const std::shared_ptr<Conn>& conn) {
 void NetServer::DispatchFrames(const std::shared_ptr<Conn>& conn) {
   if (stop_.load(std::memory_order_relaxed)) return;
   while (!conn->parsed.empty()) {
-    const uint8_t version = conn->parsed.front().version;
     {
       std::lock_guard<std::mutex> lock(conn->mu);
-      if (version < 6) {
-        // Legacy sessions are strictly serial: one request at a time, in
-        // arrival order, exactly like the pre-reactor daemon.
-        if (conn->inflight > 0) return;
-      } else {
-        // v6 frames pipeline, but never overtake an in-flight legacy
-        // frame (a hostile client mixing versions must not see replies
-        // reorder on an id-less frame).
-        if (conn->inflight_legacy > 0) return;
-        if (conn->inflight >= options_.max_pipeline_depth) return;
-      }
+      if (conn->inflight >= options_.max_pipeline_depth) return;
       ++conn->inflight;
-      if (version < 6) ++conn->inflight_legacy;
     }
     Task task;
     task.conn = conn;
@@ -696,9 +714,8 @@ void NetServer::UpdateInterest(IoThread* io, Conn* conn) {
     inflight = conn->inflight;
     out_empty = conn->out.empty();
   }
-  const int limit = conn->version >= 6 ? options_.max_pipeline_depth : 1;
-  const bool paused =
-      static_cast<int>(conn->parsed.size()) + inflight >= limit;
+  const bool paused = static_cast<int>(conn->parsed.size()) + inflight >=
+                      options_.max_pipeline_depth;
   uint32_t want = 0;
   if (!conn->read_closed && !paused &&
       !stop_.load(std::memory_order_relaxed)) {
@@ -776,7 +793,7 @@ void NetServer::RecordInvalidation(InvalidationEventMsg event) {
     // entry it advertises.
     inv_seq_.fetch_add(1, std::memory_order_release);
   }
-  // Wake every I/O thread: idle v5+ sessions get the event pushed without
+  // Wake every I/O thread: idle sessions get the event pushed without
   // waiting for their next request.
   for (auto& io : io_) {
     {
@@ -808,13 +825,10 @@ void NetServer::FlushConnInvalidations(Conn* conn) {
     }
   }
   conn->inv_seen = newest;
-  // Events are framed at the session's own version (a v5 session must
-  // not receive v6 frame ids); unsolicited frames carry id 0.
-  const uint8_t version = conn->version;
   for (const InvalidationEventMsg& event : events) {
-    FrameParts parts =
-        EncodeFrameParts(MessageType::kInvalidationEvent,
-                         {EncodeInvalidationEvent(event)}, version, 0);
+    // Unsolicited frames carry id 0.
+    FrameParts parts = EncodeFrameParts(MessageType::kInvalidationEvent,
+                                        {EncodeInvalidationEvent(event)});
     bytes_sent_.fetch_add(FramePartsBytes(parts), std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->closed) return;
@@ -839,7 +853,7 @@ void NetServer::WorkerLoop() {
       tasks_.pop_front();
     }
     HandleFrame(task.conn, task.frame);
-    FinishRequest(task.conn, task.frame.version);
+    FinishRequest(task.conn);
   }
 }
 
@@ -853,21 +867,10 @@ void NetServer::EnqueueReply(const std::shared_ptr<Conn>& conn,
   }
 }
 
-void NetServer::EnqueueErrorReply(const std::shared_ptr<Conn>& conn,
-                                  const Status& error, uint8_t version,
-                                  uint64_t frame_id, double retry_after_ms) {
-  EnqueueReply(conn,
-               EncodeFrameParts(MessageType::kError,
-                                {EncodeError(error, retry_after_ms, version)},
-                                version, frame_id));
-}
-
-void NetServer::FinishRequest(const std::shared_ptr<Conn>& conn,
-                              uint8_t version) {
+void NetServer::FinishRequest(const std::shared_ptr<Conn>& conn) {
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     --conn->inflight;
-    if (version < 6) --conn->inflight_legacy;
   }
   IoThread* io = conn->io;
   {
@@ -879,9 +882,6 @@ void NetServer::FinishRequest(const std::shared_ptr<Conn>& conn,
 
 void NetServer::HandleFrame(const std::shared_ptr<Conn>& conn,
                             const Frame& frame) {
-  const uint8_t version = frame.version;
-  const uint64_t id = frame.frame_id;
-
   // The admission gate covers the query-class request types plus updates
   // (a delta apply clones and rebuilds an engine — heavier than most
   // queries) and the PIR endpoints (a setup computes a hint, a fetch runs
@@ -897,80 +897,50 @@ void NetServer::HandleFrame(const std::shared_ptr<Conn>& conn,
                      frame.type == MessageType::kProbeBatchRequest ||
                      frame.type == MessageType::kPirSetupRequest ||
                      frame.type == MessageType::kPirFetchRequest;
-  if (gated && !AdmitQuery()) {
+  const bool shed = gated && !AdmitQuery();
+  Result<FrameParts> reply =
+      shed ? Result<FrameParts>(
+                 Status::Unavailable("daemon over capacity, retry later"))
+           : Dispatch(frame);
+  if (shed) {
     queries_shed_.fetch_add(1, std::memory_order_relaxed);
-    EnqueueErrorReply(conn,
-                      Status::Unavailable("daemon over capacity, retry later"),
-                      version, id, options_.shed_backoff_ms);
-    return;
+  } else {
+    // The slot is free before the reply becomes visible: a client that
+    // sends its next request on seeing this answer must not be shed by
+    // its own previous one.
+    if (gated) ReleaseQuery();
+    if (!reply.ok()) errors_.fetch_add(1, std::memory_order_relaxed);
   }
+  EnqueueReply(conn, reply.ok()
+                         ? std::move(*reply)
+                         : ErrorFrame(reply.status(), frame.frame_id,
+                                      shed ? options_.shed_backoff_ms : 0.0));
+}
 
+Result<FrameParts> NetServer::Dispatch(const Frame& frame) {
+  const uint64_t id = frame.frame_id;
   switch (frame.type) {
     case MessageType::kPingRequest: {
       ping_latency_->Observe(0.0);
-      EnqueueReply(conn, EncodeFrameParts(MessageType::kPingResponse, {},
-                                          version, id));
-      return;
+      return EncodeFrameParts(MessageType::kPingResponse, {}, id);
     }
     case MessageType::kQueryRequest: {
-      auto query = DecodeQueryRequest(frame.payload, version);
-      if (!query.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, query.status(), version, id);
-        return;
-      }
-      auto db = ResolveDb(query->db);
-      if (!db.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, db.status(), version, id);
-        return;
-      }
-      // Every served query is traced: the phase decomposition rides back
-      // inside the response frame, and the total lands in the histogram.
-      Stopwatch watch;
-      obs::Trace trace;
-      obs::QueryContext qctx;
-      qctx.trace = &trace;
-      ExecOptions exec;
-      exec.ctx = &qctx;
-      exec.cached_blocks = query->cached;
-      auto result = (*db)->engine().Execute(query->query, exec);
-      if (!result.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, result.status(), version, id);
-        return;
-      }
-      queries_served_.fetch_add(1, std::memory_order_relaxed);
-      query_latency_->Observe(watch.ElapsedMicros());
-      ReleaseQuery();
-      EnqueueReply(
-          conn,
-          EncodeFrameParts(
-              MessageType::kQueryResponse,
-              EncodeQueryResponseParts(std::move(result->response),
-                                       result->stats.server_process_us,
-                                       result->stats.server_phases),
-              version, id));
-      return;
+      auto request = DecodeQueryRequest(frame.payload);
+      if (!request.ok()) return request.status();
+      auto db = ResolveDb(request->db);
+      if (!db.ok()) return db.status();
+      auto result = TracedCall(
+          request->cached, queries_served_, query_latency_,
+          [&](const ExecOptions& exec) {
+            return (*db)->engine().Execute(request->query, exec);
+          });
+      return QueryReply(std::move(result), id);
     }
     case MessageType::kProbeBatchRequest: {
       auto batch = DecodeProbeBatchRequest(frame.payload);
-      if (!batch.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, batch.status(), version, id);
-        return;
-      }
+      if (!batch.ok()) return batch.status();
       auto db = ResolveDb(batch->db);
-      if (!db.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, db.status(), version, id);
-        return;
-      }
+      if (!db.ok()) return db.status();
       // Every entry runs through the SAME path a lone kQueryRequest takes
       // — fresh trace, same plan-cache behavior, its own latency sample
       // and queries_served tick — so nothing on the server side
@@ -980,299 +950,149 @@ void NetServer::HandleFrame(const std::shared_ptr<Conn>& conn,
       std::vector<Bytes> answers;
       answers.reserve(batch->probes.size());
       for (const TranslatedQuery& probe : batch->probes) {
-        Stopwatch watch;
-        obs::Trace trace;
-        obs::QueryContext qctx;
-        qctx.trace = &trace;
-        ExecOptions exec;
-        exec.ctx = &qctx;
-        exec.cached_blocks = batch->cached;
-        auto result = (*db)->engine().Execute(probe, exec);
-        if (!result.ok()) {
-          errors_.fetch_add(1, std::memory_order_relaxed);
-          ReleaseQuery();
-          EnqueueErrorReply(conn, result.status(), version, id);
-          return;
-        }
-        queries_served_.fetch_add(1, std::memory_order_relaxed);
-        query_latency_->Observe(watch.ElapsedMicros());
-        answers.push_back(
-            EncodeQueryResponse(result->response,
-                                result->stats.server_process_us,
-                                result->stats.server_phases));
+        auto result = TracedCall(
+            batch->cached, queries_served_, query_latency_,
+            [&](const ExecOptions& exec) {
+              return (*db)->engine().Execute(probe, exec);
+            });
+        if (!result.ok()) return result.status();
+        answers.push_back(EncodeQueryResponse(result->response,
+                                              result->stats.server_process_us,
+                                              result->stats.server_phases));
       }
-      ReleaseQuery();
-      EnqueueReply(
-          conn,
-          EncodeFrameParts(
-              MessageType::kProbeBatchResponse,
-              {EncodeProbeBatchResponse(answers, batch->pad_responses)},
-              version, id));
-      return;
+      return EncodeFrameParts(
+          MessageType::kProbeBatchResponse,
+          {EncodeProbeBatchResponse(answers, batch->pad_responses)}, id);
     }
     case MessageType::kPirSetupRequest: {
       auto request = DecodePirSetupRequest(frame.payload);
-      if (!request.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, request.status(), version, id);
-        return;
-      }
+      if (!request.ok()) return request.status();
       auto db = ResolveDb(request->db);
-      if (!db.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, db.status(), version, id);
-        return;
-      }
+      if (!db.ok()) return db.status();
       auto section = (*db)->engine().PirSection(request->section);
-      if (!section.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, section.status(), version, id);
-        return;
-      }
+      if (!section.ok()) return section.status();
       metrics_.GetCounter("net.pir_setups")->Add(1);
       PirSetupResponseMsg response;
       response.params = (*section)->params();
       response.hint = (*section)->hint();
-      ReleaseQuery();
-      EnqueueReply(conn,
-                   EncodeFrameParts(MessageType::kPirSetupResponse,
-                                    {EncodePirSetupResponse(response)},
-                                    version, id));
-      return;
+      return EncodeFrameParts(MessageType::kPirSetupResponse,
+                              {EncodePirSetupResponse(response)}, id);
     }
     case MessageType::kPirFetchRequest: {
       auto request = DecodePirFetchRequest(frame.payload);
-      if (!request.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, request.status(), version, id);
-        return;
-      }
+      if (!request.ok()) return request.status();
       auto db = ResolveDb(request->db);
-      if (!db.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, db.status(), version, id);
-        return;
-      }
+      if (!db.ok()) return db.status();
       auto section = (*db)->engine().PirSection(request->section);
-      if (!section.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, section.status(), version, id);
-        return;
-      }
+      if (!section.ok()) return section.status();
       auto answer = (*section)->Answer(request->query);
-      if (!answer.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, answer.status(), version, id);
-        return;
-      }
+      if (!answer.ok()) return answer.status();
       metrics_.GetCounter("net.pir_fetches")->Add(1);
       PirFetchResponseMsg response;
       response.answer = std::move(*answer);
-      ReleaseQuery();
-      EnqueueReply(conn,
-                   EncodeFrameParts(MessageType::kPirFetchResponse,
-                                    {EncodePirFetchResponse(response)},
-                                    version, id));
-      return;
+      return EncodeFrameParts(MessageType::kPirFetchResponse,
+                              {EncodePirFetchResponse(response)}, id);
     }
     case MessageType::kNaiveRequest: {
-      auto request = DecodeNaiveRequest(frame.payload, version);
-      if (!request.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, request.status(), version, id);
-        return;
-      }
+      auto request = DecodeNaiveRequest(frame.payload);
+      if (!request.ok()) return request.status();
       auto db = ResolveDb(request->db);
-      if (!db.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, db.status(), version, id);
-        return;
-      }
-      Stopwatch watch;
-      obs::Trace trace;
-      obs::QueryContext qctx;
-      qctx.trace = &trace;
-      ExecOptions exec;
-      exec.ctx = &qctx;
-      auto result = (*db)->engine().ExecuteNaive(exec);
-      if (!result.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, result.status(), version, id);
-        return;
-      }
-      naive_served_.fetch_add(1, std::memory_order_relaxed);
-      naive_latency_->Observe(watch.ElapsedMicros());
-      ReleaseQuery();
-      EnqueueReply(
-          conn,
-          EncodeFrameParts(
-              MessageType::kQueryResponse,
-              EncodeQueryResponseParts(std::move(result->response),
-                                       result->stats.server_process_us,
-                                       result->stats.server_phases),
-              version, id));
-      return;
+      if (!db.ok()) return db.status();
+      auto result = TracedCall(
+          {}, naive_served_, naive_latency_, [&](const ExecOptions& exec) {
+            return (*db)->engine().ExecuteNaive(exec);
+          });
+      return QueryReply(std::move(result), id);
     }
     case MessageType::kAggregateRequest: {
-      auto request = DecodeAggregateRequest(frame.payload, version);
-      if (!request.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, request.status(), version, id);
-        return;
-      }
+      auto request = DecodeAggregateRequest(frame.payload);
+      if (!request.ok()) return request.status();
       auto db = ResolveDb(request->db);
-      if (!db.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, db.status(), version, id);
-        return;
-      }
-      Stopwatch watch;
-      obs::Trace trace;
-      obs::QueryContext qctx;
-      qctx.trace = &trace;
-      ExecOptions exec;
-      exec.ctx = &qctx;
-      exec.cached_blocks = request->cached;
-      auto result = (*db)->engine().ExecuteAggregate(
-          request->query, request->kind, request->index_token, exec);
-      if (!result.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, result.status(), version, id);
-        return;
-      }
-      aggregates_served_.fetch_add(1, std::memory_order_relaxed);
-      aggregate_latency_->Observe(watch.ElapsedMicros());
-      ReleaseQuery();
-      EnqueueReply(
-          conn,
-          EncodeFrameParts(
-              MessageType::kAggregateResponse,
-              EncodeAggregateResponseParts(std::move(result->response),
-                                           result->stats.server_process_us,
-                                           result->stats.server_phases),
-              version, id));
-      return;
+      if (!db.ok()) return db.status();
+      auto result = TracedCall(
+          request->cached, aggregates_served_, aggregate_latency_,
+          [&](const ExecOptions& exec) {
+            return (*db)->engine().ExecuteAggregate(
+                request->query, request->kind, request->index_token, exec);
+          });
+      if (!result.ok()) return result.status();
+      return EncodeFrameParts(
+          MessageType::kAggregateResponse,
+          EncodeAggregateResponseParts(std::move(result->response),
+                                       result->stats.server_process_us,
+                                       result->stats.server_phases),
+          id);
     }
     case MessageType::kUpdateRequest: {
-      if (!options_.accept_updates) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn,
-                          Status::Unsupported(
-                              "daemon does not accept updates (restart with "
-                              "--allow-updates)"),
-                          version, id);
-        return;
-      }
-      auto request = DecodeUpdateRequest(frame.payload);
-      if (!request.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, request.status(), version, id);
-        return;
-      }
-      auto delta = DeserializeDelta(request->delta);
-      if (!delta.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, delta.status(), version, id);
-        return;
-      }
-      const std::string db =
-          request->db.empty() ? options_.default_db : request->db;
-      if (db.empty()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn,
-                          Status::InvalidArgument(
-                              "update names no database and the daemon has "
-                              "no default"),
-                          version, id);
-        return;
-      }
-      Stopwatch watch;
-      auto generation = catalog_->ApplyDelta(db, *delta);
-      if (!generation.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        ReleaseQuery();
-        EnqueueErrorReply(conn, generation.status(), version, id);
-        return;
-      }
-      updates_applied_.fetch_add(1, std::memory_order_relaxed);
-      update_latency_->Observe(watch.ElapsedMicros());
-      metrics_.GetCounter("db." + db + ".updates")->Add(1);
-
-      // Tell every connected v5+ session (this one included) which cached
-      // blocks just went stale; the reactor pushes the event to idle
-      // sessions without waiting for their next request.
-      InvalidationEventMsg event;
-      event.db = db;
-      event.db_generation = *generation;
-      for (const DeltaBlockPut& put : delta->block_puts) {
-        BlockAdvert advert;
-        advert.id = put.id;
-        advert.generation = put.generation;
-        event.blocks.push_back(advert);
-      }
-      for (const auto& [block_id, block_generation] :
-           delta->block_tombstones) {
-        BlockAdvert advert;
-        advert.id = block_id;
-        advert.generation = block_generation;
-        event.blocks.push_back(advert);
-      }
-      RecordInvalidation(std::move(event));
-
-      UpdateResponseMsg response;
-      response.generation = *generation;
-      ReleaseQuery();
-      EnqueueReply(conn,
-                   EncodeFrameParts(MessageType::kUpdateResponse,
-                                    {EncodeUpdateResponse(response)}, version,
-                                    id));
-      return;
+      auto response = ApplyUpdate(frame.payload);
+      if (!response.ok()) return response.status();
+      return EncodeFrameParts(MessageType::kUpdateResponse,
+                              {EncodeUpdateResponse(*response)}, id);
     }
     case MessageType::kStatsRequest: {
       Stopwatch watch;
-      auto request = DecodeStatsRequest(frame.payload, version);
-      if (!request.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        EnqueueErrorReply(conn, request.status(), version, id);
-        return;
-      }
+      auto request = DecodeStatsRequest(frame.payload);
+      if (!request.ok()) return request.status();
       NetCallOptions call;
       call.db = request->db;
-      const Bytes payload = EncodeStats(stats(call), version);
+      Bytes payload = EncodeStats(stats(call));
       stats_latency_->Observe(watch.ElapsedMicros());
-      EnqueueReply(conn, EncodeFrameParts(MessageType::kStatsResponse,
-                                          {payload}, version, id));
-      return;
+      return EncodeFrameParts(MessageType::kStatsResponse,
+                              {std::move(payload)}, id);
     }
-    default: {
+    default:
       // A response type arriving at the server is a confused client;
       // answer with an error but keep the (still frame-aligned) session.
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      EnqueueErrorReply(conn,
-                        Status::InvalidArgument(
-                            std::string("unexpected message type ") +
-                            MessageTypeName(frame.type)),
-                        version, id);
-      return;
-    }
+      return Status::InvalidArgument(std::string("unexpected message type ") +
+                                     MessageTypeName(frame.type));
   }
+}
+
+Result<UpdateResponseMsg> NetServer::ApplyUpdate(const Bytes& payload) {
+  if (!options_.accept_updates) {
+    return Status::Unsupported(
+        "daemon does not accept updates (restart with --allow-updates)");
+  }
+  auto request = DecodeUpdateRequest(payload);
+  if (!request.ok()) return request.status();
+  auto delta = DeserializeDelta(request->delta);
+  if (!delta.ok()) return delta.status();
+  const std::string db =
+      request->db.empty() ? options_.default_db : request->db;
+  if (db.empty()) {
+    return Status::InvalidArgument(
+        "update names no database and the daemon has no default");
+  }
+  Stopwatch watch;
+  auto generation = catalog_->ApplyDelta(db, *delta);
+  if (!generation.ok()) return generation.status();
+  updates_applied_.fetch_add(1, std::memory_order_relaxed);
+  update_latency_->Observe(watch.ElapsedMicros());
+  metrics_.GetCounter("db." + db + ".updates")->Add(1);
+
+  // Tell every connected session (this one included) which cached blocks
+  // just went stale; the reactor pushes the event to idle sessions
+  // without waiting for their next request.
+  InvalidationEventMsg event;
+  event.db = db;
+  event.db_generation = *generation;
+  for (const DeltaBlockPut& put : delta->block_puts) {
+    BlockAdvert advert;
+    advert.id = put.id;
+    advert.generation = put.generation;
+    event.blocks.push_back(advert);
+  }
+  for (const auto& [block_id, block_generation] : delta->block_tombstones) {
+    BlockAdvert advert;
+    advert.id = block_id;
+    advert.generation = block_generation;
+    event.blocks.push_back(advert);
+  }
+  RecordInvalidation(std::move(event));
+
+  UpdateResponseMsg response;
+  response.generation = *generation;
+  return response;
 }
 
 }  // namespace net

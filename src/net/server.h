@@ -36,9 +36,9 @@ struct NetServerOptions {
   /// connections stay open indefinitely.
   double idle_timeout_sec = 0.;
   uint64_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Database served to requests that name none (every v3 request, and
-  /// v4 requests with an empty db field). Empty + a request naming no
-  /// database → InvalidArgument. ServerConfig::ForBundle fills it in.
+  /// Database served to requests with an empty db field. Empty + a
+  /// request naming no database → InvalidArgument. ServerConfig::ForBundle
+  /// fills it in.
   std::string default_db;
   /// Admission control: queries/aggregates/naive requests evaluating
   /// concurrently across all connections (0 = unbounded; pings and stats
@@ -48,20 +48,19 @@ struct NetServerOptions {
   /// request is shed with a retryable Unavailable instead of queueing
   /// unboundedly — one hot tenant cannot starve the daemon.
   int max_queued_queries = 8;
-  /// Backoff hint attached to Unavailable sheds (wire v4): the client's
-  /// retry loop treats it as a floor for its next sleep.
+  /// Backoff hint attached to Unavailable sheds: the client's retry loop
+  /// treats it as a floor for its next sleep.
   double shed_backoff_ms = 50.0;
-  /// Accept kUpdateRequest frames (wire v5). Off by default: an update
+  /// Accept kUpdateRequest frames. Off by default: an update
   /// mutates hosted state, so the operator must opt in (--allow-updates).
   bool accept_updates = false;
-  /// Bounded per-daemon log of recent invalidation events. A v5 session
-  /// that falls further behind than the log reaches gets one drop-all
-  /// event instead of a precise stale-block list.
+  /// Bounded per-daemon log of recent invalidation events. A session that
+  /// falls further behind than the log reaches gets one drop-all event
+  /// instead of a precise stale-block list.
   int max_invalidation_log = 64;
-  /// Requests a single v6 connection may have dispatched concurrently
-  /// (wire v6 pipelining). Beyond this the reactor stops reading the
-  /// connection until replies drain — per-connection backpressure. Pre-v6
-  /// sessions are always dispatched one frame at a time.
+  /// Requests a single connection may have dispatched concurrently
+  /// (pipelining). Beyond this the reactor stops reading the connection
+  /// until replies drain — per-connection backpressure.
   int max_pipeline_depth = 64;
 
   /// Rejects nonsensical settings (negative timeouts, zero frame bound,
@@ -99,8 +98,8 @@ struct ServerConfig {
 /// The untrusted service provider as an actual network daemon: owns a
 /// BundleCatalog of hosted databases (encrypted database + metadata —
 /// never keys or plaintext), listens on TCP, and evaluates translated
-/// queries for any number of clients against any of its databases (wire
-/// v4 routes per-request; v3 sessions get default_db).
+/// queries for any number of clients against any of its databases (each
+/// request names its database; an empty name gets default_db).
 ///
 /// Threading model (the reactor): one acceptor thread hands accepted
 /// sockets to a small set of I/O threads round-robin. Each I/O thread
@@ -112,13 +111,12 @@ struct ServerConfig {
 /// catalog or a join, so ten thousand idle sockets cost ten thousand
 /// epoll registrations, not ten thousand threads.
 ///
-/// Wire v6 sessions may pipeline up to max_pipeline_depth requests per
+/// A session may pipeline up to max_pipeline_depth requests per
 /// connection; responses carry the request's frame id and may complete
-/// out of order. Pre-v6 sessions are served one frame at a time in
-/// arrival order, exactly like the pre-reactor daemon. Each request
-/// resolves its database through the catalog and pins the engine for the
-/// duration of the call, so hot reloads and LRU evictions never break an
-/// in-flight query.
+/// out of order. A frame of any other wire version gets one Unsupported
+/// error and the connection closes. Each request resolves its database
+/// through the catalog and pins the engine for the duration of the call,
+/// so hot reloads and LRU evictions never break an in-flight query.
 ///
 /// Shutdown() drains gracefully: stop accepting, let every dispatched
 /// request finish and its response flush, then close sessions and join.
@@ -192,24 +190,26 @@ class NetServer {
   /// Takes its own reference (by value): callers often pass the map's
   /// entry itself, which erasing would otherwise destroy mid-close.
   void CloseConn(IoThread* io, std::shared_ptr<Conn> conn);
-  /// Pushes invalidation events this session has not seen yet (v5+).
+  /// Pushes invalidation events this session has not seen yet.
   void FlushConnInvalidations(Conn* conn);
   /// Periodic sweep: idle reaping, mid-frame and stalled-write timeouts.
   void SweepConns(IoThread* io);
   void SignalIo(IoThread* io);
 
   // --- worker side ----------------------------------------------------
-  /// Evaluates one request and enqueues the reply on the connection.
+  /// Runs one request through admission control and Dispatch, then
+  /// enqueues its reply (or its error frame) on the connection.
   void HandleFrame(const std::shared_ptr<Conn>& conn, const Frame& frame);
+  /// Evaluates one admitted request and returns its framed reply.
+  Result<FrameParts> Dispatch(const Frame& frame);
+  /// Decodes and applies a pushed delta, then records the invalidation.
+  Result<UpdateResponseMsg> ApplyUpdate(const Bytes& payload);
   /// Appends a framed reply to the connection's output queue (counts
-  /// bytes_sent) and wakes the owning I/O thread.
+  /// bytes_sent).
   void EnqueueReply(const std::shared_ptr<Conn>& conn, FrameParts parts);
-  void EnqueueErrorReply(const std::shared_ptr<Conn>& conn,
-                         const Status& error, uint8_t version,
-                         uint64_t frame_id, double retry_after_ms = 0.0);
   /// Marks the request done (pipelining bookkeeping) and wakes the
   /// owning I/O thread to dispatch what the slot was blocking.
-  void FinishRequest(const std::shared_ptr<Conn>& conn, uint8_t version);
+  void FinishRequest(const std::shared_ptr<Conn>& conn);
 
   /// Appends an invalidation event to the bounded log, bumps the
   /// sequence counter, and wakes every I/O thread to push it.
@@ -252,7 +252,7 @@ class NetServer {
   int waiting_ = 0;
 
   /// Cache-invalidation push state. inv_seq_ counts recorded events; each
-  /// v5+ session tracks how far the reactor has pushed to it.
+  /// session tracks how far the reactor has pushed to it.
   struct PendingInvalidation {
     uint64_t seq = 0;
     InvalidationEventMsg event;

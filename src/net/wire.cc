@@ -314,6 +314,15 @@ Status CheckFullyConsumed(const BinaryReader& r, const char* what) {
   return Status::Ok();
 }
 
+void WriteFrameHeader(BinaryWriter& w, MessageType type, uint64_t payload_bytes,
+                      uint64_t frame_id) {
+  w.U32(kWireMagic);
+  w.U8(kWireVersion);
+  w.U8(static_cast<uint8_t>(type));
+  w.U32(static_cast<uint32_t>(payload_bytes));
+  w.U64(frame_id);
+}
+
 }  // namespace
 
 const char* MessageTypeName(MessageType type) {
@@ -360,45 +369,30 @@ const char* MessageTypeName(MessageType type) {
   return "Unknown";
 }
 
-Bytes EncodeFrame(MessageType type, const Bytes& payload, uint8_t version,
-                  uint64_t frame_id) {
+Bytes EncodeFrame(MessageType type, const Bytes& payload, uint64_t frame_id) {
   Bytes out;
-  out.reserve(FrameHeaderBytes(version) + payload.size());
+  out.reserve(kFrameHeaderBytes + payload.size());
   BinaryWriter w(&out);
-  w.U32(kWireMagic);
-  w.U8(version);
-  w.U8(static_cast<uint8_t>(type));
-  w.U32(static_cast<uint32_t>(payload.size()));
-  if (version >= 6) w.U64(frame_id);
+  WriteFrameHeader(w, type, payload.size(), frame_id);
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
 Result<Frame> DecodeFrameHeader(const uint8_t* buf, uint64_t max_frame_bytes,
                                 uint32_t* payload_length) {
-  Bytes header(buf, buf + kFrameHeaderBytes);
+  Bytes header(buf, buf + kFramePrefixBytes);
   BinaryReader r(header);
   if (r.U32() != kWireMagic) return Status::Corruption("bad frame magic");
   const uint8_t version = r.U8();
-  if (version < kMinWireVersion || version > kWireVersion) {
-    return Status::Unsupported("wire version " + std::to_string(version));
+  if (version != kWireVersion) {
+    return Status::Unsupported("wire version " + std::to_string(version) +
+                               " (this endpoint speaks only " +
+                               std::to_string(kWireVersion) + ")");
   }
   const uint8_t type = r.U8();
   if (type < static_cast<uint8_t>(MessageType::kPingRequest) ||
       type > static_cast<uint8_t>(MessageType::kPirFetchResponse)) {
     return Status::Corruption("bad message type " + std::to_string(type));
-  }
-  if (type > static_cast<uint8_t>(MessageType::kError) && version < 5) {
-    // The update/invalidation messages only exist at v5; an older session
-    // producing them is confused or hostile.
-    return Status::Corruption("message type " + std::to_string(type) +
-                              " requires wire version 5");
-  }
-  if (type > static_cast<uint8_t>(MessageType::kUpdateResponse) &&
-      version < 7) {
-    // Probe batches and PIR fetches only exist at v7.
-    return Status::Corruption("message type " + std::to_string(type) +
-                              " requires wire version 7");
   }
   const uint32_t length = r.U32();
   if (length > max_frame_bytes) {
@@ -408,37 +402,33 @@ Result<Frame> DecodeFrameHeader(const uint8_t* buf, uint64_t max_frame_bytes,
   }
   Frame frame;
   frame.type = static_cast<MessageType>(type);
-  frame.version = version;
   *payload_length = length;
   return frame;
 }
 
 uint64_t DecodeFrameId(const uint8_t* buf) {
   uint64_t id = 0;
-  for (size_t i = 0; i < kFrameIdBytes; ++i) {
+  for (size_t i = 0; i < 8; ++i) {
     id |= static_cast<uint64_t>(buf[i]) << (8 * i);
   }
   return id;
 }
 
 Result<Frame> DecodeFrame(const Bytes& buf, uint64_t max_frame_bytes) {
-  if (buf.size() < kFrameHeaderBytes) {
+  if (buf.size() < kFramePrefixBytes) {
     return Status::Corruption("truncated frame header");
   }
   uint32_t payload_length = 0;
   auto frame = DecodeFrameHeader(buf.data(), max_frame_bytes, &payload_length);
   if (!frame.ok()) return frame.status();
-  const size_t header_bytes = FrameHeaderBytes(frame->version);
-  if (buf.size() < header_bytes) {
+  if (buf.size() < kFrameHeaderBytes) {
     return Status::Corruption("truncated frame id");
   }
-  if (frame->version >= 6) {
-    frame->frame_id = DecodeFrameId(buf.data() + kFrameHeaderBytes);
-  }
-  if (buf.size() - header_bytes != payload_length) {
+  frame->frame_id = DecodeFrameId(buf.data() + kFramePrefixBytes);
+  if (buf.size() - kFrameHeaderBytes != payload_length) {
     return Status::Corruption("frame length mismatch");
   }
-  frame->payload.assign(buf.begin() + header_bytes, buf.end());
+  frame->payload.assign(buf.begin() + kFrameHeaderBytes, buf.end());
   return frame;
 }
 
@@ -449,17 +439,13 @@ uint64_t FramePartsBytes(const FrameParts& parts) {
 }
 
 FrameParts EncodeFrameParts(MessageType type, std::vector<Bytes> payload,
-                            uint8_t version, uint64_t frame_id) {
+                            uint64_t frame_id) {
   uint64_t payload_bytes = 0;
   for (const Bytes& part : payload) payload_bytes += part.size();
   Bytes header;
-  header.reserve(FrameHeaderBytes(version));
+  header.reserve(kFrameHeaderBytes);
   BinaryWriter w(&header);
-  w.U32(kWireMagic);
-  w.U8(version);
-  w.U8(static_cast<uint8_t>(type));
-  w.U32(static_cast<uint32_t>(payload_bytes));
-  if (version >= 6) w.U64(frame_id);
+  WriteFrameHeader(w, type, payload_bytes, frame_id);
   FrameParts parts;
   parts.reserve(payload.size() + 1);
   parts.push_back(std::move(header));
@@ -469,60 +455,51 @@ FrameParts EncodeFrameParts(MessageType type, std::vector<Bytes> payload,
 
 Bytes EncodeQueryRequest(const TranslatedQuery& query,
                          const std::vector<BlockAdvert>& cached,
-                         const std::string& db, uint8_t version) {
+                         const std::string& db) {
   Bytes out;
   BinaryWriter w(&out);
   WriteSteps(w, query.steps);
   WriteAdverts(w, cached);
-  // The db name rides at the tail so every v3 field keeps its offset; a
-  // v3 session simply never writes (or reads) it.
-  if (version >= 4) w.Str(db);
+  w.Str(db);
   return out;
 }
 
-Result<QueryRequestMsg> DecodeQueryRequest(const Bytes& payload,
-                                           uint8_t version) {
+Result<QueryRequestMsg> DecodeQueryRequest(const Bytes& payload) {
   BinaryReader r(payload);
   QueryRequestMsg msg;
   XCRYPT_RETURN_NOT_OK(ReadSteps(r, &msg.query.steps, 0));
   XCRYPT_RETURN_NOT_OK(ReadAdverts(r, &msg.cached));
-  if (version >= 4) msg.db = r.Str();
+  msg.db = r.Str();
   XCRYPT_RETURN_NOT_OK(CheckFullyConsumed(r, "query request"));
   return msg;
 }
 
-Bytes EncodeNaiveRequest(const std::string& db, uint8_t version) {
+Bytes EncodeNaiveRequest(const std::string& db) {
   Bytes out;
-  if (version >= 4) {
-    BinaryWriter w(&out);
-    w.Str(db);
-  }
+  BinaryWriter w(&out);
+  w.Str(db);
   return out;
 }
 
-Result<NaiveRequestMsg> DecodeNaiveRequest(const Bytes& payload,
-                                           uint8_t version) {
+Result<NaiveRequestMsg> DecodeNaiveRequest(const Bytes& payload) {
   BinaryReader r(payload);
   NaiveRequestMsg msg;
-  if (version >= 4) msg.db = r.Str();
+  msg.db = r.Str();
   XCRYPT_RETURN_NOT_OK(CheckFullyConsumed(r, "naive request"));
   return msg;
 }
 
-Bytes EncodeStatsRequest(const std::string& db, uint8_t version) {
+Bytes EncodeStatsRequest(const std::string& db) {
   Bytes out;
-  if (version >= 4) {
-    BinaryWriter w(&out);
-    w.Str(db);
-  }
+  BinaryWriter w(&out);
+  w.Str(db);
   return out;
 }
 
-Result<StatsRequestMsg> DecodeStatsRequest(const Bytes& payload,
-                                           uint8_t version) {
+Result<StatsRequestMsg> DecodeStatsRequest(const Bytes& payload) {
   BinaryReader r(payload);
   StatsRequestMsg msg;
-  if (version >= 4) msg.db = r.Str();
+  msg.db = r.Str();
   XCRYPT_RETURN_NOT_OK(CheckFullyConsumed(r, "stats request"));
   return msg;
 }
@@ -563,19 +540,18 @@ Result<QueryResponseMsg> DecodeQueryResponse(const Bytes& payload) {
 Bytes EncodeAggregateRequest(const TranslatedQuery& query, AggregateKind kind,
                              const std::string& index_token,
                              const std::vector<BlockAdvert>& cached,
-                             const std::string& db, uint8_t version) {
+                             const std::string& db) {
   Bytes out;
   BinaryWriter w(&out);
   WriteSteps(w, query.steps);
   w.U8(static_cast<uint8_t>(kind));
   w.Str(index_token);
   WriteAdverts(w, cached);
-  if (version >= 4) w.Str(db);
+  w.Str(db);
   return out;
 }
 
-Result<AggregateRequestMsg> DecodeAggregateRequest(const Bytes& payload,
-                                                   uint8_t version) {
+Result<AggregateRequestMsg> DecodeAggregateRequest(const Bytes& payload) {
   BinaryReader r(payload);
   AggregateRequestMsg msg;
   XCRYPT_RETURN_NOT_OK(ReadSteps(r, &msg.query.steps, 0));
@@ -586,7 +562,7 @@ Result<AggregateRequestMsg> DecodeAggregateRequest(const Bytes& payload,
   msg.kind = static_cast<AggregateKind>(kind);
   msg.index_token = r.Str();
   XCRYPT_RETURN_NOT_OK(ReadAdverts(r, &msg.cached));
-  if (version >= 4) msg.db = r.Str();
+  msg.db = r.Str();
   XCRYPT_RETURN_NOT_OK(CheckFullyConsumed(r, "aggregate request"));
   return msg;
 }
@@ -639,7 +615,7 @@ Result<AggregateResponseMsg> DecodeAggregateResponse(const Bytes& payload) {
   return msg;
 }
 
-Bytes EncodeStats(const NetStats& stats, uint8_t version) {
+Bytes EncodeStats(const NetStats& stats) {
   Bytes out;
   BinaryWriter w(&out);
   w.U64(stats.queries_served);
@@ -653,19 +629,15 @@ Bytes EncodeStats(const NetStats& stats, uint8_t version) {
   w.U64(stats.num_blocks);
   w.U64(stats.ciphertext_bytes);
   WriteHistograms(w, stats.latency);
-  if (version >= 4) {
-    w.U64(stats.queries_shed);
-    w.U64(stats.queue_depth);
-    w.Str(stats.database);
-  }
-  if (version >= 5) {
-    w.U64(stats.db_generation);
-    w.U64(stats.updates_applied);
-  }
+  w.U64(stats.queries_shed);
+  w.U64(stats.queue_depth);
+  w.Str(stats.database);
+  w.U64(stats.db_generation);
+  w.U64(stats.updates_applied);
   return out;
 }
 
-Result<NetStats> DecodeStats(const Bytes& payload, uint8_t version) {
+Result<NetStats> DecodeStats(const Bytes& payload) {
   BinaryReader r(payload);
   NetStats stats;
   stats.queries_served = r.U64();
@@ -679,15 +651,11 @@ Result<NetStats> DecodeStats(const Bytes& payload, uint8_t version) {
   stats.num_blocks = r.U64();
   stats.ciphertext_bytes = r.U64();
   XCRYPT_RETURN_NOT_OK(ReadHistograms(r, &stats.latency));
-  if (version >= 4) {
-    stats.queries_shed = r.U64();
-    stats.queue_depth = r.U64();
-    stats.database = r.Str();
-  }
-  if (version >= 5) {
-    stats.db_generation = r.U64();
-    stats.updates_applied = r.U64();
-  }
+  stats.queries_shed = r.U64();
+  stats.queue_depth = r.U64();
+  stats.database = r.Str();
+  stats.db_generation = r.U64();
+  stats.updates_applied = r.U64();
   XCRYPT_RETURN_NOT_OK(CheckFullyConsumed(r, "stats"));
   return stats;
 }
@@ -988,29 +956,24 @@ Result<PirFetchResponseMsg> DecodePirFetchResponse(const Bytes& payload) {
   return msg;
 }
 
-Bytes EncodeError(const Status& status, double retry_after_ms,
-                  uint8_t version) {
+Bytes EncodeError(const Status& status, double retry_after_ms) {
   Bytes out;
   BinaryWriter w(&out);
   w.U8(static_cast<uint8_t>(status.code()));
   w.Str(status.message());
-  if (version >= 4) w.F64(retry_after_ms);
+  w.F64(retry_after_ms);
   return out;
 }
 
-Status DecodeError(const Bytes& payload, uint8_t version,
-                   double* retry_after_ms) {
+Status DecodeError(const Bytes& payload, double* retry_after_ms) {
   BinaryReader r(payload);
   const uint8_t code = r.U8();
   const std::string message = r.Str();
-  if (retry_after_ms != nullptr) *retry_after_ms = 0.0;
-  if (version >= 4) {
-    const double hint = r.F64();
+  const double hint = r.F64();
+  if (retry_after_ms != nullptr) {
     // Reject NaN/negative hints from a hostile daemon; a client must
     // never be talked into sleeping forever (or not at all, in a loop).
-    if (retry_after_ms != nullptr && hint > 0.0 && hint == hint) {
-      *retry_after_ms = hint;
-    }
+    *retry_after_ms = hint > 0.0 && hint == hint ? hint : 0.0;
   }
   XCRYPT_RETURN_NOT_OK(CheckFullyConsumed(r, "error message"));
   switch (static_cast<StatusCode>(code)) {

@@ -22,61 +22,31 @@ namespace net {
 /// The service-layer wire protocol (Figure 1's client/server link made
 /// real). Every message travels as one frame:
 ///
-///   +-------+---------+------+----------------+--------------------+
-///   | magic | version | type | payload length |      payload       |
-///   |  u32  |   u8    |  u8  |      u32       |  `length` bytes    |
-///   +-------+---------+------+----------------+--------------------+
+///   +-------+---------+------+----------------+----------+-----------+
+///   | magic | version | type | payload length | frame id |  payload  |
+///   |  u32  |   u8    |  u8  |      u32       |   u64    | `length`  |
+///   +-------+---------+------+----------------+----------+-----------+
 ///
 /// All integers little-endian, strings/blobs u32-length-prefixed — the
 /// same conventions as the storage image format (storage/serializer.cc),
-/// sharing common/binary_io.h. Payload encodings are versioned as a whole
-/// via the header byte: an endpoint speaking a different version rejects
-/// the frame with Unsupported instead of guessing.
+/// sharing common/binary_io.h. There is exactly one protocol version: an
+/// endpoint rejects a frame carrying any other with Unsupported instead of
+/// guessing at its layout, and the daemon then closes the connection.
+///
+/// Requests carry a client-chosen frame id which the daemon echoes in the
+/// response, so one connection can have several requests in flight and
+/// responses may complete out of order. Unsolicited frames (invalidation
+/// events) and errors raised outside any request carry id 0, which clients
+/// never assign to a request.
 
 inline constexpr uint32_t kWireMagic = 0x54454E58;  // "XNET" on the wire
-/// v2: responses carry the server's span-phase decomposition; stats carry
-/// per-message-type latency histograms.
-/// v3: query/aggregate requests advertise the client's cached blocks as
-/// (id, generation) pairs; responses carry each block's generation and an
-/// id-only stub list (cached_ids) for advertised blocks the server chose
-/// not to re-ship.
-/// v4: multi-tenant routing — query/aggregate/naive/stats requests carry a
-/// database name (appended at the tail, so every v3 field keeps its
-/// offset); stats responses add shed/queue-depth counters and the name of
-/// the database they describe; error frames add a server-suggested
-/// retry-after hint in milliseconds.
-/// v5: incremental updates — clients may push a delta bundle
-/// (kUpdateRequest/kUpdateResponse), and the daemon pushes unsolicited
-/// kInvalidationEvent frames so connected clients drop cache entries for
-/// blocks a delta changed. The three new message types are v5-only; v3/v4
-/// sessions never receive them.
-/// v6: pipelining — a u64 frame id follows the fixed header (the payload
-/// length still counts payload bytes only). Requests carry a client-chosen
-/// id which the daemon echoes in the response, so one connection can have
-/// several requests in flight and responses may complete out of order.
-/// Unsolicited frames (invalidation events) and errors raised outside any
-/// request carry id 0, which clients never assign to a request. v3–v5
-/// frames have no id; the daemon serializes those sessions as before.
-/// v7: access-pattern protection (DESIGN.md §17) — probe batches
-/// (kProbeBatchRequest/Response) carry k+1 equal-size translated-query
-/// entries of which one is real, and the PIR messages
-/// (kPirSetup/kPirFetch) serve private selection fetches over small hot
-/// sections. The six new message types are v7-only; older sessions never
-/// see them and run exactly as before.
 inline constexpr uint8_t kWireVersion = 7;
-/// Oldest version a daemon still accepts. v3 frames decode with the db
-/// name defaulted to empty, which the daemon maps to its configured
-/// default database — so pre-catalog clients keep working.
-inline constexpr uint8_t kMinWireVersion = 3;
-inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 1 + 4;
-/// Size of the v6 frame id that follows the fixed header.
-inline constexpr size_t kFrameIdBytes = 8;
-
-/// Bytes preceding the payload for a frame of `version`: the fixed header
-/// plus, from v6 on, the frame id.
-constexpr size_t FrameHeaderBytes(uint8_t version) {
-  return kFrameHeaderBytes + (version >= 6 ? kFrameIdBytes : 0);
-}
+/// The header fields DecodeFrameHeader validates: magic, version, type and
+/// payload length. A reader can refuse a bad frame as soon as these have
+/// arrived, without waiting for bytes an older peer will never send.
+inline constexpr size_t kFramePrefixBytes = 4 + 1 + 1 + 4;
+/// Bytes preceding the payload: the validated prefix, then the frame id.
+inline constexpr size_t kFrameHeaderBytes = kFramePrefixBytes + 8;
 
 /// Upper bound on a single frame's payload. A header announcing more is
 /// rejected before any allocation — the guard against a corrupted or
@@ -89,33 +59,29 @@ enum class MessageType : uint8_t {
   kPingResponse = 2,
   kQueryRequest = 3,       ///< TranslatedQuery
   kQueryResponse = 4,      ///< ServerResponse + server timing
-  kNaiveRequest = 5,       ///< db name (v4); answered with kQueryResponse
+  kNaiveRequest = 5,       ///< db name; answered with kQueryResponse
   kAggregateRequest = 6,   ///< TranslatedQuery + kind + index token
   kAggregateResponse = 7,  ///< AggregateResponse + server timing
-  kStatsRequest = 8,       ///< db name (v4)
+  kStatsRequest = 8,       ///< db name
   kStatsResponse = 9,      ///< NetStats
   kError = 10,             ///< Status code + message
-  kInvalidationEvent = 11,  ///< server-pushed stale-block notice (v5)
-  kUpdateRequest = 12,      ///< delta bundle image (v5)
-  kUpdateResponse = 13,     ///< new bundle generation after apply (v5)
-  kProbeBatchRequest = 14,  ///< k+1 uniform probes, one real (v7)
-  kProbeBatchResponse = 15, ///< per-probe answers, optionally padded (v7)
-  kPirSetupRequest = 16,    ///< section name (v7)
-  kPirSetupResponse = 17,   ///< PirParams + hint (v7)
-  kPirFetchRequest = 18,    ///< section + selection vector (v7)
-  kPirFetchResponse = 19,   ///< answer vector (v7)
+  kInvalidationEvent = 11,  ///< server-pushed stale-block notice
+  kUpdateRequest = 12,      ///< delta bundle image
+  kUpdateResponse = 13,     ///< new bundle generation after apply
+  kProbeBatchRequest = 14,  ///< k+1 uniform probes, one real
+  kProbeBatchResponse = 15, ///< per-probe answers, optionally padded
+  kPirSetupRequest = 16,    ///< section name
+  kPirSetupResponse = 17,   ///< PirParams + hint
+  kPirFetchRequest = 18,    ///< section + selection vector
+  kPirFetchResponse = 19,   ///< answer vector
 };
 
 const char* MessageTypeName(MessageType type);
 
-/// One decoded frame. `version` is the header's version byte (within
-/// [kMinWireVersion, kWireVersion]); payload codecs take it so a daemon
-/// can decode v3 and v4 sessions side by side and answer each in kind.
+/// One decoded frame.
 struct Frame {
   MessageType type = MessageType::kError;
-  uint8_t version = kWireVersion;
-  /// Request/response correlation id (wire v6). Always 0 for frames
-  /// framed at version ≤ 5 and for unsolicited v6 frames.
+  /// Request/response correlation id; 0 for unsolicited frames.
   uint64_t frame_id = 0;
   Bytes payload;
 };
@@ -129,10 +95,10 @@ struct NetCallOptions {
   std::string db;
 };
 
-/// Server-side counters reported by kStatsResponse, plus (since wire v2)
-/// the daemon's per-message-type latency histograms. Histogram snapshots
-/// merge associatively, so scrapes from several daemons or intervals can
-/// be combined client-side.
+/// Server-side counters reported by kStatsResponse, plus the daemon's
+/// per-message-type latency histograms. Histogram snapshots merge
+/// associatively, so scrapes from several daemons or intervals can be
+/// combined client-side.
 struct NetStats {
   uint64_t queries_served = 0;
   uint64_t aggregates_served = 0;
@@ -144,19 +110,19 @@ struct NetStats {
   uint64_t bytes_sent = 0;
   uint64_t num_blocks = 0;
   uint64_t ciphertext_bytes = 0;
-  /// Requests refused with Unavailable by admission control (wire v4).
+  /// Requests refused with Unavailable by admission control.
   uint64_t queries_shed = 0;
-  /// Requests currently waiting for an admission slot (wire v4).
+  /// Requests currently waiting for an admission slot.
   uint64_t queue_depth = 0;
-  /// Which database num_blocks/ciphertext_bytes describe (wire v4): the
+  /// Which database num_blocks/ciphertext_bytes describe: the
   /// one named in the stats request, or the daemon's default.
   std::string database;
-  /// Resident bundle generation of `database` (wire v5); 0 when unknown
+  /// Resident bundle generation of `database`; 0 when unknown
   /// (no database resolved, or a v2 image that carries no generation).
   /// Owners sync on this at attach so deltas build against the server's
   /// actual base.
   uint64_t db_generation = 0;
-  /// Delta bundles applied across all databases (wire v5).
+  /// Delta bundles applied across all databases.
   uint64_t updates_applied = 0;
   /// Named latency histograms (e.g. "query_us", "aggregate_us").
   std::vector<std::pair<std::string, obs::HistogramSnapshot>> latency;
@@ -164,30 +130,27 @@ struct NetStats {
 
 // --- framing ------------------------------------------------------------
 
-/// Serializes a complete frame (header [+ frame id at v6] + payload).
-/// `version` must lie in [kMinWireVersion, kWireVersion]; a daemon answers
-/// each session with the version its request arrived in. `frame_id` is
-/// written only when `version` ≥ 6.
+/// Serializes a complete frame (header + payload).
 Bytes EncodeFrame(MessageType type, const Bytes& payload,
-                  uint8_t version = kWireVersion, uint64_t frame_id = 0);
+                  uint64_t frame_id = 0);
 
-/// Parses the fixed frame header and validates magic, version, message
-/// type, and payload length against `max_frame_bytes`. On success returns
-/// the frame with its payload still empty; for version ≥ 6 the caller
-/// next reads kFrameIdBytes (see DecodeFrameId), then `payload_length`
-/// bytes. `buf` must hold kFrameHeaderBytes.
+/// Validates the header prefix: magic, version, message type, and payload
+/// length against `max_frame_bytes`. On success returns the frame with its
+/// id and payload still empty; the caller next reads the frame id (see
+/// DecodeFrameId), then `payload_length` bytes. `buf` must hold
+/// kFramePrefixBytes.
 Result<Frame> DecodeFrameHeader(const uint8_t* buf, uint64_t max_frame_bytes,
                                 uint32_t* payload_length);
 
-/// Reads the little-endian u64 frame id that follows a v6 header. `buf`
-/// must hold kFrameIdBytes.
+/// Reads the little-endian u64 frame id that follows the header prefix.
+/// `buf` must hold 8 bytes.
 uint64_t DecodeFrameId(const uint8_t* buf);
 
 /// Parses a complete frame from a contiguous buffer (tests, fuzzing).
 Result<Frame> DecodeFrame(const Bytes& buf, uint64_t max_frame_bytes);
 
 /// A frame assembled as scatter-gather segments for writev: segment 0 is
-/// the header (plus frame id at v6), the rest concatenate to the payload.
+/// the header, the rest concatenate to the payload.
 /// Large block ciphertexts become their own segments — moved, never
 /// copied into one contiguous send buffer.
 using FrameParts = std::vector<Bytes>;
@@ -199,7 +162,6 @@ uint64_t FramePartsBytes(const FrameParts& parts);
 /// the summed payload length. Flattening the result is byte-identical to
 /// EncodeFrame over the concatenated payload.
 FrameParts EncodeFrameParts(MessageType type, std::vector<Bytes> payload,
-                            uint8_t version = kWireVersion,
                             uint64_t frame_id = 0);
 
 // --- payload codecs -----------------------------------------------------
@@ -211,37 +173,30 @@ FrameParts EncodeFrameParts(MessageType type, std::vector<Bytes> payload,
 
 struct QueryRequestMsg {
   TranslatedQuery query;
-  /// Blocks the client already holds decrypted (wire v3); the server may
-  /// answer with id-only stubs for any of these whose generation matches.
+  /// Blocks the client already holds decrypted; the server may answer with
+  /// id-only stubs for any of these whose generation matches.
   std::vector<BlockAdvert> cached;
-  /// Target database (wire v4); empty = the daemon's default database.
+  /// Target database; empty = the daemon's default database.
   std::string db;
 };
 Bytes EncodeQueryRequest(const TranslatedQuery& query,
                          const std::vector<BlockAdvert>& cached = {},
-                         const std::string& db = std::string(),
-                         uint8_t version = kWireVersion);
-Result<QueryRequestMsg> DecodeQueryRequest(const Bytes& payload,
-                                           uint8_t version = kWireVersion);
+                         const std::string& db = std::string());
+Result<QueryRequestMsg> DecodeQueryRequest(const Bytes& payload);
 
-/// kNaiveRequest: empty payload at v3; carries the database name at v4.
+/// kNaiveRequest: the target database name.
 struct NaiveRequestMsg {
   std::string db;
 };
-Bytes EncodeNaiveRequest(const std::string& db = std::string(),
-                         uint8_t version = kWireVersion);
-Result<NaiveRequestMsg> DecodeNaiveRequest(const Bytes& payload,
-                                           uint8_t version = kWireVersion);
+Bytes EncodeNaiveRequest(const std::string& db = std::string());
+Result<NaiveRequestMsg> DecodeNaiveRequest(const Bytes& payload);
 
-/// kStatsRequest: empty payload at v3; carries the database name at v4
-/// (selects which database's size counters the reply describes).
+/// kStatsRequest: the database whose size counters the reply describes.
 struct StatsRequestMsg {
   std::string db;
 };
-Bytes EncodeStatsRequest(const std::string& db = std::string(),
-                         uint8_t version = kWireVersion);
-Result<StatsRequestMsg> DecodeStatsRequest(const Bytes& payload,
-                                           uint8_t version = kWireVersion);
+Bytes EncodeStatsRequest(const std::string& db = std::string());
+Result<StatsRequestMsg> DecodeStatsRequest(const Bytes& payload);
 
 struct QueryResponseMsg {
   ServerResponse response;
@@ -267,16 +222,14 @@ struct AggregateRequestMsg {
   TranslatedQuery query;
   AggregateKind kind = AggregateKind::kCount;
   std::string index_token;
-  std::vector<BlockAdvert> cached;  ///< wire v3 cache advertisement
-  std::string db;                   ///< wire v4 target database
+  std::vector<BlockAdvert> cached;  ///< client cache advertisement
+  std::string db;                   ///< target database
 };
 Bytes EncodeAggregateRequest(const TranslatedQuery& query, AggregateKind kind,
                              const std::string& index_token,
                              const std::vector<BlockAdvert>& cached = {},
-                             const std::string& db = std::string(),
-                             uint8_t version = kWireVersion);
-Result<AggregateRequestMsg> DecodeAggregateRequest(
-    const Bytes& payload, uint8_t version = kWireVersion);
+                             const std::string& db = std::string());
+Result<AggregateRequestMsg> DecodeAggregateRequest(const Bytes& payload);
 
 struct AggregateResponseMsg {
   AggregateResponse response;
@@ -294,11 +247,10 @@ std::vector<Bytes> EncodeAggregateResponseParts(
     const std::vector<obs::PhaseTiming>& server_phases = {});
 Result<AggregateResponseMsg> DecodeAggregateResponse(const Bytes& payload);
 
-Bytes EncodeStats(const NetStats& stats, uint8_t version = kWireVersion);
-Result<NetStats> DecodeStats(const Bytes& payload,
-                             uint8_t version = kWireVersion);
+Bytes EncodeStats(const NetStats& stats);
+Result<NetStats> DecodeStats(const Bytes& payload);
 
-/// kInvalidationEvent (v5): pushed by the daemon, never solicited. Tells
+/// kInvalidationEvent: pushed by the daemon, never solicited. Tells
 /// a connected client that `db` advanced to `db_generation` and which of
 /// its cached blocks are now stale. `drop_all` covers the cases where a
 /// precise list is unavailable (bundle replaced wholesale, or the daemon's
@@ -313,7 +265,7 @@ struct InvalidationEventMsg {
 Bytes EncodeInvalidationEvent(const InvalidationEventMsg& event);
 Result<InvalidationEventMsg> DecodeInvalidationEvent(const Bytes& payload);
 
-/// kUpdateRequest (v5): an owner pushes a serialized DeltaBundle image
+/// kUpdateRequest: an owner pushes a serialized DeltaBundle image
 /// (storage/update/delta.h). The daemon treats the image as opaque bytes
 /// at the wire layer; the update path deserializes and validates it.
 struct UpdateRequestMsg {
@@ -323,7 +275,7 @@ struct UpdateRequestMsg {
 Bytes EncodeUpdateRequest(const UpdateRequestMsg& msg);
 Result<UpdateRequestMsg> DecodeUpdateRequest(const Bytes& payload);
 
-/// kUpdateResponse (v5): the bundle generation after the delta applied
+/// kUpdateResponse: the bundle generation after the delta applied
 /// (also returned for an idempotent replay that changed nothing).
 struct UpdateResponseMsg {
   uint64_t generation = 0;
@@ -331,7 +283,7 @@ struct UpdateResponseMsg {
 Bytes EncodeUpdateResponse(const UpdateResponseMsg& msg);
 Result<UpdateResponseMsg> DecodeUpdateResponse(const Bytes& payload);
 
-// --- access-pattern protection (wire v7) --------------------------------
+// --- access-pattern protection -----------------------------------------
 
 /// Standalone codec for one translated query, shared by the probe-batch
 /// entries below and by privacy::ShapeLog persistence. Byte-identical to
@@ -404,14 +356,12 @@ Result<PirFetchResponseMsg> DecodePirFetchResponse(const Bytes& payload);
 
 /// kError carries a non-OK Status across the wire. Decoding never returns
 /// OK: a well-formed payload yields the carried error, a malformed one
-/// yields Corruption. Since v4 the frame also carries `retry_after_ms`, a
+/// yields Corruption. The frame also carries `retry_after_ms`, a
 /// server-suggested backoff hint (0 = no suggestion) that admission
 /// control attaches to Unavailable sheds and the client's retry loop
 /// honors as a floor.
-Bytes EncodeError(const Status& status, double retry_after_ms = 0.0,
-                  uint8_t version = kWireVersion);
-Status DecodeError(const Bytes& payload, uint8_t version = kWireVersion,
-                   double* retry_after_ms = nullptr);
+Bytes EncodeError(const Status& status, double retry_after_ms = 0.0);
+Status DecodeError(const Bytes& payload, double* retry_after_ms = nullptr);
 
 }  // namespace net
 }  // namespace xcrypt

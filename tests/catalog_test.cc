@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,13 +19,12 @@
 #include "storage/serializer.h"
 #include "storage/update/delta.h"
 #include "storage/update/delta_builder.h"
+#include "tests/test_dir.h"
 #include "xpath/parser.h"
 
 namespace xcrypt {
 namespace net {
 namespace {
-
-namespace fs = std::filesystem;
 
 /// A small but real hosted bundle; different seeds give different
 /// documents, so the databases in a multi-entry catalog are
@@ -49,19 +47,8 @@ HostedBundle MakeBundle(int seed) {
 /// Fresh per-test scratch directory under the gtest temp root.
 class CatalogTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::path(::testing::TempDir()) /
-           (std::string("xcrypt_catalog_") + info->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-
-  void TearDown() override { fs::remove_all(dir_); }
-
   std::string PathFor(const std::string& name) const {
-    return (dir_ / (name + ".xcr")).string();
+    return dir_.File(name + ".xcr");
   }
 
   void SaveAs(const std::string& name, const HostedBundle& bundle,
@@ -71,7 +58,7 @@ class CatalogTest : public ::testing::Test {
     ASSERT_TRUE(saved.ok()) << saved.ToString();
   }
 
-  fs::path dir_;
+  TestDir dir_;
 };
 
 TEST_F(CatalogTest, OpenScansDirectoryLazily) {
@@ -80,11 +67,11 @@ TEST_F(CatalogTest, OpenScansDirectoryLazily) {
   SaveAs("beta", bundle);
   SaveAs("gamma", bundle);
   // Non-bundle files are ignored by the scan.
-  std::FILE* f = std::fopen((dir_ / "notes.txt").string().c_str(), "wb");
+  std::FILE* f = std::fopen(dir_.File("notes.txt").c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fclose(f);
 
-  auto catalog = BundleCatalog::Open(dir_.string());
+  auto catalog = BundleCatalog::Open(dir_.path().string());
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
   EXPECT_EQ((*catalog)->List(),
             (std::vector<std::string>{"alpha", "beta", "gamma"}));
@@ -106,18 +93,18 @@ TEST_F(CatalogTest, OpenScansDirectoryLazily) {
 }
 
 TEST_F(CatalogTest, OpenFailsOnMissingOrEmptyDirectory) {
-  auto missing = BundleCatalog::Open((dir_ / "nope").string());
+  auto missing = BundleCatalog::Open(dir_.File("nope"));
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 
-  auto empty = BundleCatalog::Open(dir_.string());
+  auto empty = BundleCatalog::Open(dir_.path().string());
   ASSERT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(CatalogTest, HostileNamesNeverTouchTheFilesystem) {
   SaveAs("alpha", MakeBundle(2));
-  auto catalog = BundleCatalog::Open(dir_.string());
+  auto catalog = BundleCatalog::Open(dir_.path().string());
   ASSERT_TRUE(catalog.ok());
 
   for (const char* name :
@@ -136,7 +123,7 @@ TEST_F(CatalogTest, LruEvictionKeepsHandlesAlive) {
   SaveAs("c", bundle);
   CatalogOptions options;
   options.max_resident = 2;
-  auto catalog = BundleCatalog::Open(dir_.string(), options);
+  auto catalog = BundleCatalog::Open(dir_.path().string(), options);
   ASSERT_TRUE(catalog.ok());
 
   auto a = (*catalog)->Get("a");
@@ -159,7 +146,7 @@ TEST_F(CatalogTest, LruEvictionKeepsHandlesAlive) {
 TEST_F(CatalogTest, HotReloadPicksUpRewrittenFile) {
   const HostedBundle bundle = MakeBundle(4);
   SaveAs("live", bundle, /*generation=*/1);
-  auto catalog = BundleCatalog::Open(dir_.string());
+  auto catalog = BundleCatalog::Open(dir_.path().string());
   ASSERT_TRUE(catalog.ok());
 
   auto before = (*catalog)->Get("live");
@@ -191,7 +178,7 @@ TEST_F(CatalogTest, NameMismatchedBundleRejected) {
   Status saved = SaveBundle(bundle.database, bundle.metadata, PathFor("live"),
                             "other", /*generation=*/1);
   ASSERT_TRUE(saved.ok()) << saved.ToString();
-  auto catalog = BundleCatalog::Open(dir_.string());
+  auto catalog = BundleCatalog::Open(dir_.path().string());
   ASSERT_TRUE(catalog.ok());
 
   auto db = (*catalog)->Get("live");
@@ -215,7 +202,7 @@ void WriteAsV2(const std::string& path, const HostedBundle& bundle) {
 
 TEST_F(CatalogTest, V2ImagesFallBackToMtimeSizeFingerprint) {
   WriteAsV2(PathFor("legacy"), MakeBundle(14));
-  auto catalog = BundleCatalog::Open(dir_.string());
+  auto catalog = BundleCatalog::Open(dir_.path().string());
   ASSERT_TRUE(catalog.ok());
 
   auto before = (*catalog)->Get("legacy");
@@ -234,7 +221,7 @@ TEST_F(CatalogTest, V2ImagesFallBackToMtimeSizeFingerprint) {
 
 TEST_F(CatalogTest, ReloadForcesFreshLoadWithoutFileChange) {
   SaveAs("alpha", MakeBundle(5));
-  auto catalog = BundleCatalog::Open(dir_.string());
+  auto catalog = BundleCatalog::Open(dir_.path().string());
   ASSERT_TRUE(catalog.ok());
   ASSERT_TRUE((*catalog)->Get("alpha").ok());
 
@@ -250,7 +237,7 @@ TEST_F(CatalogTest, ReloadForcesFreshLoadWithoutFileChange) {
 TEST_F(CatalogTest, UnloadRemovesDatabase) {
   SaveAs("alpha", MakeBundle(6));
   SaveAs("beta", MakeBundle(7));
-  auto catalog = BundleCatalog::Open(dir_.string());
+  auto catalog = BundleCatalog::Open(dir_.path().string());
   ASSERT_TRUE(catalog.ok());
   auto held = (*catalog)->Get("alpha");
   ASSERT_TRUE(held.ok());
@@ -293,7 +280,7 @@ TEST_F(CatalogTest, PinnedEntriesSurviveLruPressure) {
   SaveAs("f2", bundle);
   CatalogOptions options;
   options.max_resident = 1;
-  auto catalog = BundleCatalog::Open(dir_.string(), options);
+  auto catalog = BundleCatalog::Open(dir_.path().string(), options);
   ASSERT_TRUE(catalog.ok());
   ASSERT_TRUE((*catalog)->AddBundle("pinned", MakeBundle(11)).ok());
 
@@ -307,7 +294,7 @@ TEST_F(CatalogTest, PinnedEntriesSurviveLruPressure) {
 
 TEST_F(CatalogTest, ConcurrentColdGetsLoadOnce) {
   SaveAs("shared", MakeBundle(12));
-  auto catalog = BundleCatalog::Open(dir_.string());
+  auto catalog = BundleCatalog::Open(dir_.path().string());
   ASSERT_TRUE(catalog.ok());
 
   constexpr int kThreads = 8;
@@ -402,18 +389,13 @@ TEST_F(CatalogPlanCacheTest, ApplyDeltaInvalidatesPlans) {
 }
 
 TEST_F(CatalogPlanCacheTest, EvictAndReloadDropStalePlans) {
-  const ::testing::TestInfo* info =
-      ::testing::UnitTest::GetInstance()->current_test_info();
-  const fs::path dir = fs::path(::testing::TempDir()) /
-                       (std::string("xcrypt_catalog_") + info->name());
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string path = (dir / "hospital.xcr").string();
+  const TestDir dir;
+  const std::string path = dir.File("hospital.xcr");
   ASSERT_TRUE(SaveBundle(owner_->database(), owner_->metadata(), path,
                          "hospital", /*generation=*/3)
                   .ok());
 
-  auto catalog = BundleCatalog::Open(dir.string());
+  auto catalog = BundleCatalog::Open(dir.path().string());
   ASSERT_TRUE(catalog.ok());
   auto before = (*catalog)->Get("hospital");
   ASSERT_TRUE(before.ok());
@@ -430,7 +412,6 @@ TEST_F(CatalogPlanCacheTest, EvictAndReloadDropStalePlans) {
   EXPECT_EQ((*after)->engine().plan_cache_stats().entries, 0u);
   EXPECT_EQ((*after)->engine().plan_cache_stats().hits, 0u);
   EXPECT_EQ((*after)->engine().data_generation(), 3u);
-  fs::remove_all(dir);
 }
 
 TEST_F(CatalogPlanCacheTest, MetricsRegistryReachesCatalogEngines) {

@@ -149,7 +149,9 @@ TEST(GroupingLeakTest, DsiAdmitsMultipleStructuresPerTable) {
     ASSERT_EQ(view.size(), 3u);
     for (size_t i = 0; i < view.size(); ++i) {
       EXPECT_TRUE(view[i].ProperlyInside(dsi.interval(root)));
-      if (i > 0) EXPECT_GT(view[i].min, view[i - 1].max);
+      if (i > 0) {
+        EXPECT_GT(view[i].min, view[i - 1].max);
+      }
     }
   }
 }

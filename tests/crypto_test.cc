@@ -125,7 +125,9 @@ TEST(CbcCipherTest, TamperDetectedOrGarbage) {
   ct.back() ^= 0xff;
   auto back = cipher->Decrypt(ct);
   // Either padding fails or the plaintext differs.
-  if (back.ok()) EXPECT_NE(*back, plain);
+  if (back.ok()) {
+    EXPECT_NE(*back, plain);
+  }
 }
 
 TEST(CbcCipherTest, RejectsTruncatedInput) {
@@ -223,7 +225,9 @@ TEST(KeyChainTest, BlockCipherRoundTrip) {
   // A different keychain cannot decrypt to the same plaintext.
   const KeyChain other("other");
   auto wrong = other.block_cipher().Decrypt(ct);
-  if (wrong.ok()) EXPECT_NE(*wrong, plain);
+  if (wrong.ok()) {
+    EXPECT_NE(*wrong, plain);
+  }
 }
 
 // Property sweep: OPE monotone for random pairs at various magnitudes.

@@ -45,7 +45,9 @@ TEST(CalIntervalsTest, GuaranteedGaps) {
     for (int i = 0; i < n; ++i) {
       EXPECT_LT(children[i].min, children[i].max);
       EXPECT_TRUE(children[i].ProperlyInside(parent));
-      if (i > 0) EXPECT_GT(children[i].min, children[i - 1].max);
+      if (i > 0) {
+        EXPECT_GT(children[i].min, children[i - 1].max);
+      }
     }
   }
 }

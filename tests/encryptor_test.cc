@@ -134,7 +134,9 @@ TEST(EncryptorTest, BlockOfNodeConsistent) {
         EXPECT_EQ(block, static_cast<int>(i));
       }
     }
-    if (!in_some_root) EXPECT_EQ(block, -1);
+    if (!in_some_root) {
+      EXPECT_EQ(block, -1);
+    }
   }
 }
 

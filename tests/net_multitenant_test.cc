@@ -1,15 +1,14 @@
 // Multi-tenant daemon tests over real loopback TCP: one --catalog
 // NetServer serving several databases concurrently (answers byte-
-// identical to in-process evaluation per tenant), wire-v4 db routing
-// with v3 fallback to the default database, admission-control sheds
-// that are retryable and never silent, and hot reload with zero failed
-// in-flight queries.
+// identical to in-process evaluation per tenant), per-request db routing
+// with unnamed requests served by the default database, admission-control
+// sheds that are retryable and never silent, and hot reload with zero
+// failed in-flight queries.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,18 +17,15 @@
 #include "core/client.h"
 #include "das/das_system.h"
 #include "data/xmark_generator.h"
-#include "net/channel.h"
 #include "net/remote_engine.h"
 #include "net/server.h"
-#include "net/socket.h"
 #include "storage/serializer.h"
+#include "tests/test_dir.h"
 #include "xpath/parser.h"
 
 namespace xcrypt {
 namespace net {
 namespace {
-
-namespace fs = std::filesystem;
 
 /// One tenant: its own document, keys, and client. Different people
 /// counts make the ciphertext sizes distinct, so a routing mix-up is
@@ -62,28 +58,17 @@ const char* const kQueries[] = {
 /// Scratch catalog directory holding one bundle file per tenant.
 class MultiTenantTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::path(::testing::TempDir()) /
-           (std::string("xcrypt_mt_") + info->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-
-  void TearDown() override { fs::remove_all(dir_); }
-
   void SaveTenant(const Tenant& tenant, uint64_t generation = 0,
                   const std::string& stored_name = std::string()) {
     Status saved = SaveBundle(
         tenant.client->database(), tenant.client->metadata(),
-        (dir_ / (tenant.name + ".xcr")).string(),
+        dir_.File(tenant.name + ".xcr"),
         stored_name.empty() ? tenant.name : stored_name, generation);
     ASSERT_TRUE(saved.ok()) << saved.ToString();
   }
 
   Result<std::unique_ptr<NetServer>> ServeDir(NetServerOptions options) {
-    auto catalog = BundleCatalog::Open(dir_.string());
+    auto catalog = BundleCatalog::Open(dir_.path().string());
     if (!catalog.ok()) return catalog.status();
     return NetServer::Serve(ServerConfig::ForCatalog(std::move(*catalog),
                                                      "127.0.0.1", 0, options));
@@ -101,7 +86,7 @@ class MultiTenantTest : public ::testing::Test {
     }
   }
 
-  fs::path dir_;
+  TestDir dir_;
 };
 
 TEST_F(MultiTenantTest, ThreeDatabasesConcurrentlyByteIdentical) {
@@ -206,7 +191,7 @@ TEST_F(MultiTenantTest, UnknownDatabaseFailsFastWithNotFound) {
   EXPECT_EQ(hostile.status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(MultiTenantTest, DefaultDatabaseServesUnnamedAndV3Requests) {
+TEST_F(MultiTenantTest, DefaultDatabaseServesUnnamedRequests) {
   Tenant alpha = MakeTenant("alpha", 12, 5);
   Tenant beta = MakeTenant("beta", 16, 6);
   SaveTenant(alpha);
@@ -225,25 +210,12 @@ TEST_F(MultiTenantTest, DefaultDatabaseServesUnnamedAndV3Requests) {
   auto expected = local.Execute(*translated);
   ASSERT_TRUE(expected.ok());
 
-  // A v4 session naming no database gets the default.
+  // A session naming no database gets the default.
   auto remote = RemoteServerEngine::Connect("127.0.0.1", (*server)->port());
   ASSERT_TRUE(remote.ok());
   auto unnamed = (*remote)->Execute(*translated);
   ASSERT_TRUE(unnamed.ok()) << unnamed.status().ToString();
   ExpectByteIdentical(expected->response, unnamed->response, "default-db");
-
-  // A raw v3 frame (no db field exists at that version) works against
-  // the multi-tenant daemon: old clients keep their old behavior.
-  auto sock = Socket::Dial("127.0.0.1", (*server)->port(), 5.0, 5.0);
-  ASSERT_TRUE(sock.ok());
-  const Bytes payload = EncodeQueryRequest(*translated, {}, "", /*version=*/3);
-  ASSERT_TRUE(
-      WriteFrame(*sock, MessageType::kQueryRequest, payload, /*version=*/3)
-          .ok());
-  auto reply = ReadFrame(*sock, kDefaultMaxFrameBytes, 30.0);
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply->type, MessageType::kQueryResponse);
-  EXPECT_EQ(reply->version, 3);  // answered at the caller's version
 }
 
 TEST_F(MultiTenantTest, NoDefaultAndNoNameIsInvalidArgument) {
@@ -433,7 +405,7 @@ TEST_F(MultiTenantTest, DasSystemRoutesToNamedDatabase) {
   Tenant other = MakeTenant("other", 16, 11);
   SaveTenant(other);
   Status saved = SaveBundle(das->client().database(), das->client().metadata(),
-                            (dir_ / "mine.xcr").string(), "mine", 1);
+                            dir_.File("mine.xcr"), "mine", 1);
   ASSERT_TRUE(saved.ok());
 
   auto server = ServeDir(NetServerOptions());

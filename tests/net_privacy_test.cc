@@ -7,7 +7,6 @@
 // every encryption scheme.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -32,6 +31,7 @@
 #include "privacy/pir.h"
 #include "privacy/shape.h"
 #include "storage/serializer.h"
+#include "tests/test_dir.h"
 #include "xpath/parser.h"
 
 namespace xcrypt {
@@ -135,11 +135,6 @@ TranslatedQuery MakeProbe(const std::string& token) {
   return q;
 }
 
-std::string UniqueTempPath(const std::string& stem) {
-  return ::testing::TempDir() + stem + "_" +
-         std::to_string(static_cast<long>(::getpid()));
-}
-
 TEST(ShapeLogTest, RingEvictsOldestPastCapacity) {
   privacy::ShapeLog log(4);
   for (int i = 0; i < 6; ++i) {
@@ -194,7 +189,8 @@ TEST(ShapeLogTest, SampleManyIsUniformChiSquared) {
 }
 
 TEST(ShapeLogTest, SaveLoadRoundTrip) {
-  const std::string path = UniqueTempPath("xcrypt_shape_log");
+  const TestDir dir;
+  const std::string path = dir.File("shape_log");
   privacy::ShapeLog log;
   for (int i = 0; i < 3; ++i) {
     log.Record(MakeProbe("persisted" + std::to_string(i)));
@@ -204,22 +200,21 @@ TEST(ShapeLogTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->size(), 3u);
   EXPECT_EQ(loaded->Serialize(), log.Serialize());
-  ::unlink(path.c_str());
 }
 
 TEST(ShapeLogTest, MissingFileLoadsEmptyCorruptFileErrors) {
-  const std::string missing = UniqueTempPath("xcrypt_shape_log_missing");
+  const TestDir dir;
+  const std::string missing = dir.File("missing");
   auto empty = privacy::ShapeLog::LoadFromFile(missing);
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_TRUE(empty->empty());
 
-  const std::string corrupt = UniqueTempPath("xcrypt_shape_log_corrupt");
+  const std::string corrupt = dir.File("corrupt");
   {
     std::ofstream out(corrupt, std::ios::binary);
     out << "this is not a shape log image";
   }
   EXPECT_FALSE(privacy::ShapeLog::LoadFromFile(corrupt).ok());
-  ::unlink(corrupt.c_str());
 }
 
 // --- wire v7 codecs -----------------------------------------------------
@@ -745,9 +740,8 @@ class DasPrivacyTest : public ::testing::TestWithParam<SchemeKind> {
 // out uncovered — a query never covers for itself.
 TEST_P(DasPrivacyTest, DecoysPreserveAnswersAcrossSchemes) {
   ClientTuning plain_tuning;
-  const std::string shape_path =
-      UniqueTempPath("xcrypt_das_shape_" +
-                     std::string(SchemeKindName(GetParam())));
+  const TestDir dir;
+  const std::string shape_path = dir.File("shape_log");
   ClientTuning decoy_tuning;
   decoy_tuning.privacy.decoys = 4;
   decoy_tuning.privacy.pir_threshold_bytes = 1 << 20;
@@ -820,7 +814,6 @@ TEST_P(DasPrivacyTest, DecoysPreserveAnswersAcrossSchemes) {
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded->shape_log_size(),
             static_cast<size_t>(executed));
-  ::unlink(shape_path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(

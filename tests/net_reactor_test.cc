@@ -1,7 +1,7 @@
 // Reactor-specific service-layer tests: hostile and slow clients against
 // the epoll loop (byte-at-a-time writers, half-open closes, idle-socket
-// reaping), wire-v6 pipelining with out-of-order completion, v5-session
-// regression, options validation, and the multiplexed client stub
+// reaping), pipelining with out-of-order completion, refusal of other wire
+// versions, options validation, and the multiplexed client stub
 // overlapping concurrent callers on one connection.
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/binary_io.h"
 #include "core/client.h"
 #include "net/channel.h"
 #include "net/remote_engine.h"
@@ -168,11 +169,10 @@ TEST_F(ReactorTest, ByteAtATimeWriterIsServed) {
   auto sock = Socket::Dial("127.0.0.1", server->port(), 5.0, 5.0);
   ASSERT_TRUE(sock.ok());
 
-  // Dribble a v6 ping frame one byte per send. The reactor must
+  // Dribble a ping frame one byte per send. The reactor must
   // accumulate the partial frame across readiness events instead of
   // expecting whole frames per read.
-  const Bytes image =
-      EncodeFrame(MessageType::kPingRequest, {}, kWireVersion, 77);
+  const Bytes image = EncodeFrame(MessageType::kPingRequest, {}, 77);
   for (const uint8_t byte : image) {
     ASSERT_TRUE(sock->SendAll(&byte, 1).ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -180,7 +180,6 @@ TEST_F(ReactorTest, ByteAtATimeWriterIsServed) {
   auto reply = ReadFrame(*sock, kDefaultMaxFrameBytes, 30.0);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->type, MessageType::kPingResponse);
-  EXPECT_EQ(reply->version, kWireVersion);
   EXPECT_EQ(reply->frame_id, 77u);
   server->Shutdown();
 }
@@ -241,7 +240,7 @@ TEST_F(ReactorTest, HalfOpenCloseMidFrameIsReaped) {
   server->Shutdown();
 }
 
-// --- wire v6 pipelining ------------------------------------------------
+// --- pipelining ---------------------------------------------------------
 
 TEST_F(ReactorTest, PipelinedFrameIdsCorrelateOutOfOrderReplies) {
   auto server = Serve();
@@ -257,14 +256,12 @@ TEST_F(ReactorTest, PipelinedFrameIdsCorrelateOutOfOrderReplies) {
   std::map<uint64_t, MessageType> expected;
   for (uint64_t id = 1; id <= 12; ++id) {
     if (id % 3 == 0) {
-      ASSERT_TRUE(WriteFrame(*sock, MessageType::kQueryRequest, query_payload,
-                             kWireVersion, id)
-                      .ok());
+      ASSERT_TRUE(
+          WriteFrame(*sock, MessageType::kQueryRequest, query_payload, id)
+              .ok());
       expected[id] = MessageType::kQueryResponse;
     } else {
-      ASSERT_TRUE(
-          WriteFrame(*sock, MessageType::kPingRequest, {}, kWireVersion, id)
-              .ok());
+      ASSERT_TRUE(WriteFrame(*sock, MessageType::kPingRequest, {}, id).ok());
       expected[id] = MessageType::kPingResponse;
     }
   }
@@ -273,7 +270,6 @@ TEST_F(ReactorTest, PipelinedFrameIdsCorrelateOutOfOrderReplies) {
   for (size_t i = 0; i < expected.size(); ++i) {
     auto reply = ReadFrame(*sock, kDefaultMaxFrameBytes, 60.0);
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    EXPECT_EQ(reply->version, kWireVersion);
     EXPECT_EQ(got.count(reply->frame_id), 0u) << reply->frame_id;
     got[reply->frame_id] = reply->type;
   }
@@ -293,9 +289,7 @@ TEST_F(ReactorTest, PipelineDepthBackpressureStillServesEveryRequest) {
   // instead of shedding or disconnecting, and every request is answered.
   std::set<uint64_t> pending;
   for (uint64_t id = 1; id <= 32; ++id) {
-    ASSERT_TRUE(
-        WriteFrame(*sock, MessageType::kPingRequest, {}, kWireVersion, id)
-            .ok());
+    ASSERT_TRUE(WriteFrame(*sock, MessageType::kPingRequest, {}, id).ok());
     pending.insert(id);
   }
   while (!pending.empty()) {
@@ -307,32 +301,82 @@ TEST_F(ReactorTest, PipelineDepthBackpressureStillServesEveryRequest) {
   server->Shutdown();
 }
 
-TEST_F(ReactorTest, V5SessionStaysSerialWithUnversionedFrames) {
+/// A frame as a peer of an older wire version laid it out: the same
+/// fixed fields, with the frame id only from version 6 on.
+Bytes OldVersionFrame(uint8_t version, MessageType type, const Bytes& payload) {
+  Bytes out;
+  BinaryWriter w(&out);
+  w.U32(kWireMagic);
+  w.U8(version);
+  w.U8(static_cast<uint8_t>(type));
+  w.U32(static_cast<uint32_t>(payload.size()));
+  if (version >= 6) w.U64(1);
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+TEST_F(ReactorTest, OtherWireVersionsAreRefusedWhileCurrentSessionsServe) {
   auto server = Serve();
   ASSERT_NE(server, nullptr);
-  auto sock = Socket::Dial("127.0.0.1", server->port(), 5.0, 5.0);
-  ASSERT_TRUE(sock.ok());
-
-  // A v5 client predates frame ids: requests are answered in order,
-  // framed at v5, with no id bytes on the wire.
   const TranslatedQuery query = SampleTranslated();
-  const Bytes query_payload = EncodeQueryRequest(query, {}, "", /*version=*/5);
-  for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(WriteFrame(*sock, MessageType::kQueryRequest, query_payload,
-                           /*version=*/5)
-                    .ok());
-    ASSERT_TRUE(
-        WriteFrame(*sock, MessageType::kPingRequest, {}, /*version=*/5).ok());
-    auto first = ReadFrame(*sock, kDefaultMaxFrameBytes, 60.0);
-    ASSERT_TRUE(first.ok()) << first.status().ToString();
-    EXPECT_EQ(first->type, MessageType::kQueryResponse);
-    EXPECT_EQ(first->version, 5);
-    EXPECT_EQ(first->frame_id, 0u);
-    auto second = ReadFrame(*sock, kDefaultMaxFrameBytes, 60.0);
-    ASSERT_TRUE(second.ok()) << second.status().ToString();
-    EXPECT_EQ(second->type, MessageType::kPingResponse);
-    EXPECT_EQ(second->version, 5);
+  auto remote = RemoteServerEngine::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(remote.ok());
+  auto reference = (*remote)->Execute(query);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const Bytes reference_image = EncodeQueryResponse(reference->response, 0.0);
+
+  // A current session keeps querying throughout.
+  std::atomic<bool> stop{false};
+  std::atomic<int> served{0};
+  std::atomic<int> wrong{0};
+  std::thread current([&] {
+    while (!stop.load()) {
+      auto result = (*remote)->Execute(query);
+      if (result.ok() &&
+          EncodeQueryResponse(result->response, 0.0) == reference_image) {
+        served.fetch_add(1);
+      } else {
+        wrong.fetch_add(1);
+      }
+    }
+  });
+  auto served_at_least = [&](int n) {
+    for (int i = 0; i < 1000 && served.load() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return served.load() >= n;
+  };
+  EXPECT_TRUE(served_at_least(1));
+
+  // Each older peer gets exactly one Unsupported error frame, then the
+  // daemon closes its connection — also for a v3/v5 ping, whose frame is
+  // shorter than a current header.
+  for (const uint8_t version : {uint8_t{3}, uint8_t{5}, uint8_t{6}}) {
+    // No ASSERT while `current` runs: an early return would skip its join.
+    auto sock = Socket::Dial("127.0.0.1", server->port(), 5.0, 5.0);
+    EXPECT_TRUE(sock.ok());
+    if (!sock.ok()) continue;
+    const Bytes frame = OldVersionFrame(version, MessageType::kPingRequest, {});
+    EXPECT_TRUE(sock->SendAll(frame.data(), frame.size()).ok());
+    auto reply = ReadFrame(*sock, kDefaultMaxFrameBytes, 30.0);
+    EXPECT_TRUE(reply.ok()) << int(version) << " " << reply.status().ToString();
+    if (reply.ok()) {
+      EXPECT_EQ(reply->type, MessageType::kError) << int(version);
+      EXPECT_EQ(reply->frame_id, 0u) << int(version);
+      EXPECT_EQ(DecodeError(reply->payload).code(), StatusCode::kUnsupported)
+          << int(version);
+    }
+    auto after = ReadFrame(*sock, kDefaultMaxFrameBytes, 30.0);
+    EXPECT_EQ(after.status().code(), StatusCode::kUnavailable)
+        << int(version) << " " << after.status().ToString();
   }
+
+  const int before = served.load();
+  EXPECT_TRUE(served_at_least(before + 3));
+  stop.store(true);
+  current.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(server->stats().errors, 3u);
   server->Shutdown();
 }
 

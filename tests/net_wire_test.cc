@@ -127,7 +127,7 @@ void ExpectResponseEq(const ServerResponse& a, const ServerResponse& b) {
 TEST(WireFrame, RoundTripsEveryMessageType) {
   const Bytes payload = {1, 2, 3, 4, 5};
   for (uint8_t t = static_cast<uint8_t>(MessageType::kPingRequest);
-       t <= static_cast<uint8_t>(MessageType::kError); ++t) {
+       t <= static_cast<uint8_t>(MessageType::kPirFetchResponse); ++t) {
     const MessageType type = static_cast<MessageType>(t);
     auto frame = DecodeFrame(EncodeFrame(type, payload),
                              kDefaultMaxFrameBytes);
@@ -158,14 +158,6 @@ TEST(WireFrame, RejectsBadMagicVersionTypeAndLength) {
   EXPECT_EQ(DecodeFrame(bad_type, kDefaultMaxFrameBytes).status().code(),
             StatusCode::kCorruption);
 
-  // The v7 message types are rejected on pre-v7 frames: an old peer can
-  // never have sent them, so one claiming to is corrupt, not newer.
-  Bytes old_probe = good;
-  old_probe[4] = 6;
-  old_probe[5] = static_cast<uint8_t>(MessageType::kProbeBatchRequest);
-  EXPECT_EQ(DecodeFrame(old_probe, kDefaultMaxFrameBytes).status().code(),
-            StatusCode::kCorruption);
-
   // A length prefix exceeding the frame limit is rejected from the header
   // alone — before any payload allocation could happen.
   Bytes huge = EncodeFrame(MessageType::kPingRequest, {});
@@ -175,6 +167,23 @@ TEST(WireFrame, RejectsBadMagicVersionTypeAndLength) {
   huge[9] = 0xff;
   EXPECT_EQ(DecodeFrame(huge, /*max_frame_bytes=*/1 << 20).status().code(),
             StatusCode::kCorruption);
+}
+
+TEST(WireFrame, OnlyCurrentVersionAccepted) {
+  auto current = DecodeFrame(EncodeFrame(MessageType::kPingRequest, {}),
+                             kDefaultMaxFrameBytes);
+  ASSERT_TRUE(current.ok());
+
+  // Every version byte but the current one is refused as Unsupported:
+  // older layouts are not decoded, newer ones are not guessed at.
+  for (int version = 0; version <= 255; ++version) {
+    if (version == kWireVersion) continue;
+    Bytes image = EncodeFrame(MessageType::kPingRequest, {});
+    image[4] = static_cast<uint8_t>(version);  // follows the 4-byte magic
+    EXPECT_EQ(DecodeFrame(image, kDefaultMaxFrameBytes).status().code(),
+              StatusCode::kUnsupported)
+        << version;
+  }
 }
 
 TEST(WireFrame, RejectsTruncationAtEveryByte) {
@@ -354,7 +363,7 @@ TEST(WireStats, RoundTrip) {
   stats.num_blocks = 998;
   stats.ciphertext_bytes = 1234567;
   stats.database = "tenant";
-  stats.db_generation = 42;  // wire v5 tail: owners sync on attach
+  stats.db_generation = 42;  // owners sync on attach
   stats.updates_applied = 7;
   auto decoded = DecodeStats(EncodeStats(stats));
   ASSERT_TRUE(decoded.ok());
@@ -371,13 +380,6 @@ TEST(WireStats, RoundTrip) {
   EXPECT_EQ(decoded->database, "tenant");
   EXPECT_EQ(decoded->db_generation, 42u);
   EXPECT_EQ(decoded->updates_applied, 7u);
-
-  // A v4 peer never sees (or needs) the v5 tail.
-  auto v4 = DecodeStats(EncodeStats(stats, 4), 4);
-  ASSERT_TRUE(v4.ok());
-  EXPECT_EQ(v4->database, "tenant");
-  EXPECT_EQ(v4->db_generation, 0u);
-  EXPECT_EQ(v4->updates_applied, 0u);
 }
 
 TEST(WireStats, TruncationFailsCleanly) {
@@ -411,12 +413,12 @@ TEST(WireError, RejectsOkAndUnknownCodes) {
   EXPECT_EQ(DecodeError(Bytes{}).code(), StatusCode::kCorruption);
 }
 
-// Appends the (empty) wire-v3 advert list a top-level query request
-// carries after its steps.
+// Appends the (empty) advert list and database name a top-level query
+// request carries after its steps.
 Bytes WithEmptyAdverts(Bytes payload) {
   BinaryWriter w(&payload);
   w.U32(0);      // no cached-block adverts
-  w.Str("");     // v4 tail: default database
+  w.Str("");     // default database
   return payload;
 }
 
@@ -583,21 +585,13 @@ TEST(WireStats, OversizedHistogramCountRejectedWithoutAllocation) {
   EXPECT_EQ(DecodeStats(payload).status().code(), StatusCode::kCorruption);
 }
 
-// --- Wire v4: multi-tenant routing + retry hints ----------------------
+// --- multi-tenant routing + retry hints --------------------------------
 
 TEST(WireV4, QueryRequestDbRoundTrip) {
   const Bytes payload = EncodeQueryRequest(SampleQuery(), {}, "tenant-a");
   auto decoded = DecodeQueryRequest(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->db, "tenant-a");
-}
-
-TEST(WireV4, QueryRequestV3HasNoDbAndStillDecodes) {
-  const Bytes payload =
-      EncodeQueryRequest(SampleQuery(), {}, "ignored", /*version=*/3);
-  auto decoded = DecodeQueryRequest(payload, /*version=*/3);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(decoded->db.empty());  // the field does not exist at v3
 }
 
 TEST(WireV4, QueryRequestDbTruncationFailsCleanly) {
@@ -629,13 +623,10 @@ TEST(WireV4, NaiveAndStatsRequestsRoundTrip) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->db, "db-s");
 
-  // v3 naive/stats requests are empty payloads; both decode to "".
-  auto naive_v3 = DecodeNaiveRequest(Bytes(), /*version=*/3);
-  ASSERT_TRUE(naive_v3.ok());
-  EXPECT_TRUE(naive_v3->db.empty());
-  auto stats_v3 = DecodeStatsRequest(Bytes(), /*version=*/3);
-  ASSERT_TRUE(stats_v3.ok());
-  EXPECT_TRUE(stats_v3->db.empty());
+  // The db name is the whole payload: an empty one is still a name
+  // field, and a payload without it is truncated.
+  EXPECT_FALSE(DecodeNaiveRequest(Bytes()).ok());
+  EXPECT_FALSE(DecodeStatsRequest(Bytes()).ok());
 }
 
 TEST(WireV4, FuzzedDbNamesDecodeSafely) {
@@ -654,41 +645,16 @@ TEST(WireV4, FuzzedDbNamesDecodeSafely) {
   }
 }
 
-TEST(WireV4, FrameVersionsV3ToV6AcceptedOthersRejected) {
-  auto v6 = DecodeFrame(EncodeFrame(MessageType::kPingRequest, {}),
-                        kDefaultMaxFrameBytes);
-  ASSERT_TRUE(v6.ok());
-  EXPECT_EQ(v6->version, kWireVersion);
-
-  for (uint8_t old : {uint8_t{3}, uint8_t{4}, uint8_t{5}}) {
-    auto frame =
-        DecodeFrame(EncodeFrame(MessageType::kPingRequest, {}, old),
-                    kDefaultMaxFrameBytes);
-    ASSERT_TRUE(frame.ok()) << int(old);
-    EXPECT_EQ(frame->version, old);
-  }
-
-  for (uint8_t bad :
-       {uint8_t{0}, uint8_t{2}, uint8_t{kWireVersion + 1}, uint8_t{255}}) {
-    Bytes image = EncodeFrame(MessageType::kPingRequest, {});
-    image[4] = bad;  // the version byte follows the 4-byte magic
-    EXPECT_EQ(DecodeFrame(image, kDefaultMaxFrameBytes).status().code(),
-              StatusCode::kUnsupported)
-        << int(bad);
-  }
-}
-
 TEST(WireV4, ErrorRetryHintRoundTrips) {
   const Status shed = Status::Unavailable("over capacity");
   double hint = 0.0;
-  Status decoded = DecodeError(EncodeError(shed, 75.5), kWireVersion, &hint);
+  Status decoded = DecodeError(EncodeError(shed, 75.5), &hint);
   EXPECT_EQ(decoded.code(), StatusCode::kUnavailable);
   EXPECT_DOUBLE_EQ(hint, 75.5);
 
-  // v3 error frames carry no hint; the out-param stays zero.
+  // No suggestion decodes as zero.
   hint = -1.0;
-  decoded = DecodeError(EncodeError(shed, 75.5, /*version=*/3),
-                        /*version=*/3, &hint);
+  decoded = DecodeError(EncodeError(shed), &hint);
   EXPECT_EQ(decoded.code(), StatusCode::kUnavailable);
   EXPECT_DOUBLE_EQ(hint, 0.0);
 
@@ -713,7 +679,7 @@ TEST(WireV4, HostileRetryHintsAreSanitized) {
           static_cast<uint8_t>(bits >> (8 * i));
     }
     double hint = 123.0;
-    Status decoded = DecodeError(payload, kWireVersion, &hint);
+    Status decoded = DecodeError(payload, &hint);
     EXPECT_EQ(decoded.code(), StatusCode::kUnavailable);
     EXPECT_DOUBLE_EQ(hint, 0.0) << evil;
   }
@@ -730,16 +696,9 @@ TEST(WireV4, StatsResponseCarriesShedQueueAndDbName) {
   EXPECT_EQ(decoded->queries_shed, 4u);
   EXPECT_EQ(decoded->queue_depth, 2u);
   EXPECT_EQ(decoded->database, "alpha");
-
-  // A v3 peer never sees the new fields and still gets the old ones.
-  auto v3 = DecodeStats(EncodeStats(stats, /*version=*/3), /*version=*/3);
-  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
-  EXPECT_EQ(v3->queries_served, 9u);
-  EXPECT_EQ(v3->queries_shed, 0u);
-  EXPECT_TRUE(v3->database.empty());
 }
 
-// --- Wire v5: update push + invalidation events -----------------------
+// --- update push + invalidation events ---------------------------------
 
 TEST(WireV5, InvalidationEventRoundTrip) {
   InvalidationEventMsg event;
@@ -819,59 +778,47 @@ TEST(WireV5, UpdateRequestTruncationAtEveryByteFailsCleanly) {
   }
 }
 
-TEST(WireV5, NewMessageTypesRequireVersion5) {
-  // A v3/v4 peer never advertised the update/invalidation types; a frame
-  // claiming one under an old version is stream corruption, not a legal
-  // message the old peer just doesn't know.
+TEST(WireV5, UpdateAndInvalidationTypesDecodeOnlyAtCurrentVersion) {
+  // The update/invalidation types decode at the current version; the same
+  // frame under a v3/v4 version byte is refused on that byte alone.
   for (MessageType type : {MessageType::kInvalidationEvent,
                            MessageType::kUpdateRequest,
                            MessageType::kUpdateResponse}) {
-    auto v5 = DecodeFrame(EncodeFrame(type, {}), kDefaultMaxFrameBytes);
-    ASSERT_TRUE(v5.ok()) << MessageTypeName(type);
+    auto current = DecodeFrame(EncodeFrame(type, {}), kDefaultMaxFrameBytes);
+    ASSERT_TRUE(current.ok()) << MessageTypeName(type);
+    EXPECT_EQ(current->type, type);
     for (uint8_t old : {uint8_t{3}, uint8_t{4}}) {
-      EXPECT_EQ(DecodeFrame(EncodeFrame(type, {}, old), kDefaultMaxFrameBytes)
-                    .status()
-                    .code(),
-                StatusCode::kCorruption)
+      Bytes image = EncodeFrame(type, {});
+      image[4] = old;
+      EXPECT_EQ(DecodeFrame(image, kDefaultMaxFrameBytes).status().code(),
+                StatusCode::kUnsupported)
           << MessageTypeName(type) << " at v" << int(old);
     }
   }
 }
 
-// --- Wire v6: frame ids + scatter-gather framing ----------------------
+// --- frame ids + scatter-gather framing --------------------------------
 
-TEST(WireV6, FrameIdRoundTripsAndLegacyFramesCarryNone) {
+TEST(WireV6, FrameIdRoundTrips) {
   const uint64_t id = 0xfeedbeefcafe1234ull;
   auto decoded = DecodeFrame(
-      EncodeFrame(MessageType::kQueryRequest, {1, 2, 3}, kWireVersion, id),
+      EncodeFrame(MessageType::kQueryRequest, {1, 2, 3}, id),
       kDefaultMaxFrameBytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->frame_id, id);
-  EXPECT_EQ(decoded->version, kWireVersion);
   EXPECT_EQ(decoded->payload, Bytes({1, 2, 3}));
 
-  // Unsolicited v6 frames use id 0; it round-trips like any other value.
+  // Unsolicited frames use id 0; it round-trips like any other value.
   auto zero = DecodeFrame(EncodeFrame(MessageType::kPingResponse, {}),
                           kDefaultMaxFrameBytes);
   ASSERT_TRUE(zero.ok());
   EXPECT_EQ(zero->frame_id, 0u);
-
-  // Pre-v6 frames have no id field: the requested id is ignored on
-  // encode and the decoded frame reports 0.
-  for (uint8_t old : {uint8_t{3}, uint8_t{4}, uint8_t{5}}) {
-    const Bytes image = EncodeFrame(MessageType::kPingRequest, {}, old, id);
-    EXPECT_EQ(image.size(), kFrameHeaderBytes) << int(old);
-    auto legacy = DecodeFrame(image, kDefaultMaxFrameBytes);
-    ASSERT_TRUE(legacy.ok()) << int(old);
-    EXPECT_EQ(legacy->frame_id, 0u);
-  }
 }
 
 TEST(WireV6, TruncationInsideFrameIdFailsCleanly) {
-  const Bytes image =
-      EncodeFrame(MessageType::kPingRequest, {}, kWireVersion, 99);
-  ASSERT_EQ(image.size(), kFrameHeaderBytes + kFrameIdBytes);
-  for (size_t len = kFrameHeaderBytes; len < image.size(); ++len) {
+  const Bytes image = EncodeFrame(MessageType::kPingRequest, {}, 99);
+  ASSERT_EQ(image.size(), kFrameHeaderBytes);
+  for (size_t len = kFramePrefixBytes; len < image.size(); ++len) {
     const Bytes cut(image.begin(), image.begin() + len);
     auto decoded = DecodeFrame(cut, kDefaultMaxFrameBytes);
     EXPECT_FALSE(decoded.ok()) << "prefix of " << len << " bytes";
@@ -887,21 +834,17 @@ TEST(WireV6, FramePartsFlattenToEncodeFrameBytes) {
     contiguous.insert(contiguous.end(), seg.begin(), seg.end());
   }
 
-  for (uint8_t version : {uint8_t{5}, kWireVersion}) {
-    const uint64_t id = version >= 6 ? 42u : 0u;
-    std::vector<Bytes> payload = segments;
-    const FrameParts parts = EncodeFrameParts(MessageType::kQueryResponse,
-                                              std::move(payload), version, id);
-    const Bytes reference =
-        EncodeFrame(MessageType::kQueryResponse, contiguous, version, id);
+  const FrameParts parts =
+      EncodeFrameParts(MessageType::kQueryResponse, segments, 42);
+  const Bytes reference =
+      EncodeFrame(MessageType::kQueryResponse, contiguous, 42);
 
-    Bytes flattened;
-    for (const Bytes& part : parts) {
-      flattened.insert(flattened.end(), part.begin(), part.end());
-    }
-    EXPECT_EQ(flattened, reference) << "v" << int(version);
-    EXPECT_EQ(FramePartsBytes(parts), reference.size()) << "v" << int(version);
+  Bytes flattened;
+  for (const Bytes& part : parts) {
+    flattened.insert(flattened.end(), part.begin(), part.end());
   }
+  EXPECT_EQ(flattened, reference);
+  EXPECT_EQ(FramePartsBytes(parts), reference.size());
 }
 
 TEST(WireV6, QueryResponsePartsConcatenateToContiguousEncoding) {

@@ -113,9 +113,7 @@ TEST(PerfNetLoadTest, ThousandIdleConnectionsDoNotDegradeActiveLoad) {
         for (Socket& sock : socks) {
           for (int d = 0; d < kDepth; ++d) {
             const uint64_t id = static_cast<uint64_t>(w) * kDepth + d + 1;
-            if (!WriteFrame(sock, MessageType::kPingRequest, {}, kWireVersion,
-                            id)
-                     .ok()) {
+            if (!WriteFrame(sock, MessageType::kPingRequest, {}, id).ok()) {
               errors.fetch_add(1);
               return;
             }

@@ -26,6 +26,7 @@
 #include "data/dblp_generator.h"
 #include "storage/mmap_bundle.h"
 #include "storage/serializer.h"
+#include "tests/test_dir.h"
 #include "xpath/parser.h"
 
 namespace xcrypt {
@@ -62,11 +63,9 @@ TEST(PerfStorageTest, MappedColdAttachBeatsEagerLoadOnTenXCorpus) {
                              "perf-storage");
   ASSERT_TRUE(client.ok());
 
-  const fs::path dir = fs::temp_directory_path() / "xcrypt_perf_storage";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string v4_path = (dir / "dblp_v4.xcr").string();
-  const std::string v3_path = (dir / "dblp_v3.xcr").string();
+  const TestDir dir;
+  const std::string v4_path = dir.File("dblp_v4.xcr");
+  const std::string v3_path = dir.File("dblp_v3.xcr");
   ASSERT_TRUE(SaveBundle(client->database(), client->metadata(), v4_path,
                          "dblp", 1, BundleFormat::kV4)
                   .ok());
@@ -114,7 +113,6 @@ TEST(PerfStorageTest, MappedColdAttachBeatsEagerLoadOnTenXCorpus) {
           std::chrono::duration<double, std::milli>(stop - start).count());
     }
   }
-  fs::remove_all(dir);
 
   ASSERT_GT(shipped, 0u);
   const double ratio = v3_best_ms / v4_best_ms;

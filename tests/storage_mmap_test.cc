@@ -14,10 +14,8 @@
 //    of scripts/check.sh run this suite to enforce "never" memory-safely.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -27,12 +25,11 @@
 #include "data/healthcare.h"
 #include "storage/mmap_bundle.h"
 #include "storage/serializer.h"
+#include "tests/test_dir.h"
 #include "xpath/parser.h"
 
 namespace xcrypt {
 namespace {
-
-namespace fs = std::filesystem;
 
 const char* const kQueries[] = {
     "//patient[pname='Betty']//disease",
@@ -74,29 +71,15 @@ class StorageMmapTest : public ::testing::TestWithParam<SchemeKind> {
                                "mmap-secret");
     EXPECT_TRUE(client.ok());
     client_ = std::make_unique<Client>(std::move(*client));
-    // Unique per process: ctest -j runs same-param cases concurrently in
-    // separate processes, and a shared directory would let one test's
-    // teardown delete the bundle out from under another.
-    dir_ = fs::temp_directory_path() /
-           ("xcrypt_mmap_test_" +
-            std::to_string(static_cast<int>(GetParam())) + "_" +
-            std::to_string(static_cast<long>(::getpid())));
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-    path_ = (dir_ / "hosp.xcr").string();
+    path_ = dir_.File("hosp.xcr");
     EXPECT_TRUE(SaveBundle(client_->database(), client_->metadata(), path_,
                            "hosp", /*generation=*/7, BundleFormat::kV4)
                     .ok());
   }
 
-  ~StorageMmapTest() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
+  TestDir dir_;
   Document doc_;
   std::unique_ptr<Client> client_;
-  fs::path dir_;
   std::string path_;
 };
 
@@ -233,7 +216,7 @@ TEST_P(StorageMmapTest, MappedAggregatesMatchEager) {
 }
 
 TEST_P(StorageMmapTest, V3AndV4ImagesLoadIdentically) {
-  const std::string v3_path = (dir_ / "hosp_v3.xcr").string();
+  const std::string v3_path = dir_.File("hosp_v3.xcr");
   ASSERT_TRUE(SaveBundle(client_->database(), client_->metadata(), v3_path,
                          "hosp", /*generation=*/7, BundleFormat::kV3)
                   .ok());
@@ -264,7 +247,7 @@ TEST_P(StorageMmapTest, V3AndV4ImagesLoadIdentically) {
 
   // The reverse conversion (v4 image -> v3 image) reproduces the direct
   // v3 serialization byte for byte.
-  auto reconverted_path = (dir_ / "hosp_back.xcr").string();
+  auto reconverted_path = dir_.File("hosp_back.xcr");
   ASSERT_TRUE(SaveBundle(from_v4->database, from_v4->metadata,
                          reconverted_path, from_v4->name,
                          from_v4->generation, BundleFormat::kV3)
@@ -287,10 +270,7 @@ class StorageMmapFuzzTest : public ::testing::Test {
                                SchemeKind::kOptimal, "fuzz-secret");
     EXPECT_TRUE(client.ok());
     client_ = std::make_unique<Client>(std::move(*client));
-    dir_ = fs::temp_directory_path() / "xcrypt_mmap_fuzz";
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-    const std::string pristine = (dir_ / "db.xcr").string();
+    const std::string pristine = dir_.File("db.xcr");
     EXPECT_TRUE(SaveBundle(client_->database(), client_->metadata(), pristine,
                            "db", /*generation=*/1, BundleFormat::kV4)
                     .ok());
@@ -303,17 +283,12 @@ class StorageMmapFuzzTest : public ::testing::Test {
     query_ = std::make_unique<TranslatedQuery>(std::move(*translated));
   }
 
-  ~StorageMmapFuzzTest() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
   /// Full pipeline over a candidate image: open, fault the sections in,
   /// run one query (which probes value indexes through its predicate).
   /// Returns the first non-OK status, or OK if everything parsed. The
   /// point is what it never does: crash, hang, or trip a sanitizer.
   Status Drive(const std::vector<uint8_t>& image) {
-    const std::string path = (dir_ / "mutant.xcr").string();
+    const std::string path = dir_.File("mutant.xcr");
     WriteFileBytes(path, image);
     auto mapped = MmapBundleReader::Open(path);
     if (!mapped.ok()) return mapped.status();
@@ -323,10 +298,10 @@ class StorageMmapFuzzTest : public ::testing::Test {
     return Status::Ok();
   }
 
+  TestDir dir_;
   Document doc_;
   std::unique_ptr<Client> client_;
   std::unique_ptr<TranslatedQuery> query_;
-  fs::path dir_;
   std::vector<uint8_t> image_;
 };
 

@@ -1,13 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "common/binary_io.h"
 #include "common/random.h"
 #include "core/client.h"
 #include "core/server.h"
 #include "data/healthcare.h"
 #include "storage/serializer.h"
+#include "tests/test_dir.h"
 #include "xpath/parser.h"
 
 namespace xcrypt {
@@ -102,16 +101,14 @@ TEST_P(StorageTest, ServerOverLoadedBundleAnswersIdentically) {
 }
 
 TEST_P(StorageTest, FileRoundTrip) {
-  const std::string path =
-      ::testing::TempDir() + "/xcrypt_bundle_" +
-      std::string(SchemeKindName(GetParam())) + ".bin";
+  const TestDir dir;
+  const std::string path = dir.File("bundle.bin");
   ASSERT_TRUE(
       SaveBundle(client_->database(), client_->metadata(), path).ok());
   auto bundle = LoadBundle(path);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_TRUE(bundle->database.skeleton.EqualTree(
       client_->database().skeleton));
-  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -16,6 +16,7 @@
 #include "storage/update/delta.h"
 #include "storage/update/delta_builder.h"
 #include "storage/update/wal.h"
+#include "tests/test_dir.h"
 #include "xpath/parser.h"
 
 namespace xcrypt {
@@ -54,24 +55,19 @@ Bytes ReadFileBytes(const std::string& path) {
 void WriteFileBytes(const std::string& path, const Bytes& data) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+  // An empty vector's data() may be null, which fwrite must not see.
+  if (!data.empty()) {
+    ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+  }
   ASSERT_EQ(std::fclose(f), 0);
 }
 
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::path(::testing::TempDir()) /
-           (std::string("xcrypt_wal_") + info->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-    path_ = (dir_ / "db.xcr").string();
+    path_ = dir_.File("db.xcr");
     options_.fsync = false;  // tests exercise logic, not the disk
   }
-
-  void TearDown() override { fs::remove_all(dir_); }
 
   /// One recorded edit batch against `client`, materialized as the delta
   /// advancing `base` (distinct values per call keep batches non-empty).
@@ -83,7 +79,7 @@ class WalTest : public ::testing::Test {
     return builder.Build("db", base);
   }
 
-  fs::path dir_;
+  TestDir dir_;
   std::string path_;
   BundleStore::Options options_;
 };
