@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -185,6 +186,37 @@ inline AveragedCosts RunWorkload(const DasSystem& das,
   sum.bytes /= n;
   sum.total_us /= n;
   return sum;
+}
+
+/// Mean elapsed time per span name over one traced pass of the workload
+/// (nested spans each appear under their own name; parents include their
+/// children's time). Also reports the mean number of spans per query —
+/// the multiplier for the trace overhead estimate.
+inline std::map<std::string, double> SpanBreakdown(
+    const DasSystem& das, const std::vector<WorkloadQuery>& workload,
+    double* spans_per_query = nullptr) {
+  std::map<std::string, double> totals;
+  size_t span_count = 0;
+  int n = 0;
+  for (const WorkloadQuery& wq : workload) {
+    obs::Trace trace;
+    obs::QueryContext ctx;
+    ctx.trace = &trace;
+    auto run = das.Execute(wq.expr, &ctx);
+    if (!run.ok()) continue;
+    span_count += trace.size();
+    for (const obs::SpanRecord& span : trace.spans()) {
+      totals[span.name] += span.elapsed_us;
+    }
+    ++n;
+  }
+  if (n > 0) {
+    for (auto& [name, total] : totals) total /= n;
+    if (spans_per_query != nullptr) {
+      *spans_per_query = static_cast<double>(span_count) / n;
+    }
+  }
+  return totals;
 }
 
 /// Naive-method total time (§7.3), workload-averaged.

@@ -6,8 +6,9 @@
 
 namespace xcrypt {
 
-/// Monotonic stopwatch used by the DAS cost model to attribute wall-clock
-/// time to protocol phases (server processing, decryption, post-processing).
+/// Monotonic stopwatch for wall-clock intervals: hosting, daemon
+/// housekeeping, benchmarks. A query's phases reach QueryCosts only as
+/// obs::Trace spans.
 class Stopwatch {
  public:
   Stopwatch() { Restart(); }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstdlib>
 
-#include "common/timer.h"
 #include "index/structural_join.h"
 
 #include "xml/stats.h"
@@ -37,23 +36,8 @@ Result<EngineAggregateResult> ServerEngine::ExecuteAggregate(
     return Status::Unavailable("deadline expired before server execution");
   }
   obs::Trace* trace = obs::TraceOf(ctx);
-  Stopwatch watch;
   obs::Span server_span(trace, "server");
-  const int server_id = server_span.id();
   XCRYPT_RETURN_NOT_OK(EnsureReady());
-
-  // Early returns below flow through this epilogue so every path reports
-  // its self-timed server cost and phase decomposition.
-  auto finish = [&](AggregateResponse response) -> EngineAggregateResult {
-    EngineAggregateResult out;
-    out.response = std::move(response);
-    server_span.End();
-    out.stats.server_process_us = watch.ElapsedMicros();
-    if (trace != nullptr) {
-      out.stats.server_phases = trace->ChildPhaseTotals(server_id);
-    }
-    return out;
-  };
 
   AggregateResponse response;
   response.kind = kind;
@@ -78,7 +62,7 @@ Result<EngineAggregateResult> ServerEngine::ExecuteAggregate(
       response.payload = AssembleResponse(
           plan->ship_roots, plan->requires_full_requery, cached_blocks);
     }
-    return finish(std::move(response));
+    return EngineAggregateResult{std::move(response), {}};
   }
   if (plan_miss_ != nullptr) plan_miss_->Add();
   auto remember = [&](const AggregateResponse& computed,
@@ -105,7 +89,7 @@ Result<EngineAggregateResult> ServerEngine::ExecuteAggregate(
                                 ? "0"
                                 : "";
     remember(response, {}, false);
-    return finish(std::move(response));
+    return EngineAggregateResult{std::move(response), {}};
   }
 
   if (index_token.empty()) {
@@ -151,7 +135,7 @@ Result<EngineAggregateResult> ServerEngine::ExecuteAggregate(
           }
         }
         remember(response, {}, false);
-        return finish(std::move(response));
+        return EngineAggregateResult{std::move(response), {}};
       }
     }
     // Mixed/conservative public case: ship the target subtrees.
@@ -161,7 +145,7 @@ Result<EngineAggregateResult> ServerEngine::ExecuteAggregate(
       response.payload = AssembleResponse(targets, /*requires_full_requery=*/
                                           conservative, cached_blocks);
     }
-    return finish(std::move(response));
+    return EngineAggregateResult{std::move(response), {}};
   }
 
   // Encrypted target values.
@@ -209,7 +193,7 @@ Result<EngineAggregateResult> ServerEngine::ExecuteAggregate(
     if (extreme_block < 0) {
       response.computed_on_server = true;
       remember(response, {}, false);
-      return finish(std::move(response));
+      return EngineAggregateResult{std::move(response), {}};
     }
     const Interval* rep = meta_->block_table.RepresentativeOf(extreme_block);
     remember(response, {*rep}, false);
@@ -219,7 +203,7 @@ Result<EngineAggregateResult> ServerEngine::ExecuteAggregate(
           AssembleResponse({*rep}, /*requires_full_requery=*/false,
                            cached_blocks);
     }
-    return finish(std::move(response));
+    return EngineAggregateResult{std::move(response), {}};
   }
 
   // COUNT / SUM: splitting and scaling hide cardinalities — ship every
@@ -238,7 +222,7 @@ Result<EngineAggregateResult> ServerEngine::ExecuteAggregate(
     obs::Span assemble(trace, "assemble");
     response.payload = AssembleResponse(ship, conservative, cached_blocks);
   }
-  return finish(std::move(response));
+  return EngineAggregateResult{std::move(response), {}};
 }
 
 }  // namespace xcrypt

@@ -164,28 +164,28 @@ Status SpliceNode(const Document& src, NodeId src_root, Document* dst,
 
 Result<QueryAnswer> Client::PostProcess(const PathExpr& original_query,
                                         const ServerResponse& response,
-                                        double* decrypt_micros,
                                         obs::Trace* trace,
                                         const CachedBlockSet* cache_set) const {
   QueryAnswer answer;
-  if (decrypt_micros != nullptr) *decrypt_micros = 0.0;
   if (response.skeleton_xml.empty()) return answer;
+  // Declared first so it closes last: tearing down the documents below is
+  // post-processing too.
+  obs::Span post;
 
+  obs::Span parse(trace, "skeleton-parse");
   auto pruned = ParseXml(response.skeleton_xml);
+  parse.End();
   if (!pruned.ok()) return pruned.status();
 
   // Decrypt every shipped block, in parallel when several arrived.
-  Stopwatch decrypt_watch;
   obs::Span decrypt_span(trace, "decrypt");
   auto decrypted = DecryptBlocks(response.blocks, *keys_);
   decrypt_span.End();
   if (!decrypted.ok()) return decrypted.status();
-  if (decrypt_micros != nullptr) {
-    *decrypt_micros = decrypt_watch.ElapsedMicros();
-  }
 
   // Warm the cache with what just shipped (each shipped block was a miss),
   // then resolve the server's id-only stubs from the pinned advertisement.
+  obs::Span fill(trace, "cache-fill");
   if (cache_ != nullptr) {
     for (const EncryptedBlock& b : response.blocks) {
       cache_->RecordMiss();
@@ -206,6 +206,7 @@ Result<QueryAnswer> Client::PostProcess(const PathExpr& original_query,
     decrypted->emplace(id, it->second.doc);
     if (cache_ != nullptr) cache_->RecordHit(it->second.ciphertext_bytes);
   }
+  fill.End();
 
   // Splice blocks into the pruned skeleton and strip decoys.
   Document assembled;
@@ -217,7 +218,7 @@ Result<QueryAnswer> Client::PostProcess(const PathExpr& original_query,
   }
 
   // Re-apply the query.
-  obs::Span post(trace, "postprocess");
+  post = obs::Span(trace, "postprocess");
   const PathExpr query = response.requires_full_requery
                              ? original_query
                              : StripNonFinalPredicates(original_query);
@@ -816,10 +817,9 @@ Result<std::string> Client::AggregateIndexToken(const PathExpr& path) const {
 
 Result<AggregateAnswer> Client::FinishAggregate(
     const PathExpr& path, const AggregateResponse& response,
-    double* decrypt_micros, obs::Trace* trace,
-    const CachedBlockSet* cache_set) const {
-  if (decrypt_micros != nullptr) *decrypt_micros = 0.0;
+    obs::Trace* trace, const CachedBlockSet* cache_set) const {
   if (response.computed_on_server) {
+    obs::Span post(trace, "postprocess");
     AggregateAnswer answer;
     answer.kind = response.kind;
     answer.computed_on_server = true;
@@ -828,9 +828,10 @@ Result<AggregateAnswer> Client::FinishAggregate(
     answer.count = static_cast<int64_t>(answer.numeric);
     return answer;
   }
-  auto nodes =
-      PostProcess(path, response.payload, decrypt_micros, trace, cache_set);
+  obs::Span post;  // closes after `nodes` is torn down
+  auto nodes = PostProcess(path, response.payload, trace, cache_set);
   if (!nodes.ok()) return nodes.status();
+  post = obs::Span(trace, "postprocess");
   std::vector<std::string> values;
   values.reserve(nodes->nodes.size());
   for (const Document& fragment : nodes->nodes) {

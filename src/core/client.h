@@ -88,9 +88,9 @@ class Client {
   /// the full original query when the server flagged conservative
   /// predicate resolution, otherwise the query with only the output step's
   /// predicates (the server verified the rest exactly).
-  /// `decrypt_micros`, when given, receives the wall-clock spent in block
-  /// decryption (reported separately from post-processing in §7.2). A
-  /// trace, when given, gets "decrypt", "splice", and "postprocess" spans.
+  /// A trace, when given, gets one top-level span per step: "skeleton-parse",
+  /// "decrypt", "cache-fill", "splice" and "postprocess" (§7.2 reports
+  /// decryption apart from post-processing; see CostsFromTrace).
   /// `cache_set`, when given, resolves the response's id-only stubs
   /// (cached_ids) from the pinned payloads of the advertisement that
   /// accompanied the query; a stub with no pinned payload is a protocol
@@ -98,7 +98,6 @@ class Client {
   /// when one is enabled.
   Result<QueryAnswer> PostProcess(const PathExpr& original_query,
                                   const ServerResponse& response,
-                                  double* decrypt_micros = nullptr,
                                   obs::Trace* trace = nullptr,
                                   const CachedBlockSet* cache_set =
                                       nullptr) const;
@@ -109,10 +108,10 @@ class Client {
   Result<std::string> AggregateIndexToken(const PathExpr& path) const;
 
   /// Finishes an aggregate (§6.4): takes the server's reply, decrypts any
-  /// shipped blocks, and computes the final value.
+  /// shipped blocks, and computes the final value. The trace gets
+  /// PostProcess's spans plus a "postprocess" span for the aggregation.
   Result<AggregateAnswer> FinishAggregate(const PathExpr& path,
                                           const AggregateResponse& response,
-                                          double* decrypt_micros = nullptr,
                                           obs::Trace* trace = nullptr,
                                           const CachedBlockSet* cache_set =
                                               nullptr) const;

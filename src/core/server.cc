@@ -9,7 +9,6 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "index/structural_join.h"
 #include "storage/mmap_bundle.h"
 #include "xml/parser.h"
@@ -490,9 +489,7 @@ Result<EngineQueryResult> ServerEngine::Execute(
     return Status::Unavailable("deadline expired before server execution");
   }
   obs::Trace* trace = obs::TraceOf(ctx);
-  Stopwatch watch;
   obs::Span server_span(trace, "server");
-  const int server_id = server_span.id();
   XCRYPT_RETURN_NOT_OK(EnsureReady());
 
   // Plan-cache probe: a repeated query shape against the same data
@@ -509,11 +506,6 @@ Result<EngineQueryResult> ServerEngine::Execute(
       obs::Span assemble(trace, "assemble");
       out.response = AssembleResponse(
           plan->ship_roots, plan->requires_full_requery, cached_blocks);
-    }
-    server_span.End();
-    out.stats.server_process_us = watch.ElapsedMicros();
-    if (trace != nullptr) {
-      out.stats.server_phases = trace->ChildPhaseTotals(server_id);
     }
     return out;
   }
@@ -549,11 +541,6 @@ Result<EngineQueryResult> ServerEngine::Execute(
   if (!ship_roots.empty()) {
     obs::Span assemble(trace, "assemble");
     out.response = AssembleResponse(ship_roots, conservative, cached_blocks);
-  }
-  server_span.End();
-  out.stats.server_process_us = watch.ElapsedMicros();
-  if (trace != nullptr) {
-    out.stats.server_phases = trace->ChildPhaseTotals(server_id);
   }
   return out;
 }
@@ -682,9 +669,7 @@ Result<EngineQueryResult> ServerEngine::ExecuteNaive(
     return Status::Unavailable("deadline expired before server execution");
   }
   obs::Trace* trace = obs::TraceOf(ctx);
-  Stopwatch watch;
   obs::Span server_span(trace, "server");
-  const int server_id = server_span.id();
   XCRYPT_RETURN_NOT_OK(EnsureReady());
 
   EngineQueryResult out;
@@ -698,11 +683,6 @@ Result<EngineQueryResult> ServerEngine::ExecuteNaive(
       // behind; shipping those would make the client fail decryption.
       if (!BlockTombstoned(i)) out.response.blocks.push_back(ShipBlock(i));
     }
-  }
-  server_span.End();
-  out.stats.server_process_us = watch.ElapsedMicros();
-  if (trace != nullptr) {
-    out.stats.server_phases = trace->ChildPhaseTotals(server_id);
   }
   return out;
 }

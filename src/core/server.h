@@ -78,27 +78,16 @@ struct AggregateResponse {
   ServerResponse payload;
 };
 
-/// Per-call measurements returned WITH each engine response (§7.2's cost
-/// attribution, previously leaked through a mutable last-call pointer).
-/// Every call gets a fresh value, so one engine can serve any number of
-/// concurrent callers without their measurements racing.
+/// Per-call wire facts returned WITH each engine response. Every call gets
+/// a fresh value, so one engine can serve any number of concurrent callers
+/// without their measurements racing. Time is not here: engines record it
+/// as spans into the caller's trace (ExecOptions::ctx).
 struct EngineCallStats {
   enum class Transport { kInProcess, kRemote };
 
-  /// Processing time inside the engine — locally measured for the
-  /// in-process engine, reported inside the response frame by a remote
-  /// daemon.
-  double server_process_us = 0.0;
-  /// Named decomposition of server_process_us (structural join vs OPESS
-  /// probes vs response assembly); empty when the call ran without a
-  /// trace. Remote engines forward the daemon's decomposition verbatim.
-  std::vector<obs::PhaseTiming> server_phases;
-
-  /// Wire facts, meaningful only for transport == kRemote (their
-  /// difference with server_process_us is real transmission + framing
-  /// time, replacing the link-bandwidth simulation used in-process).
+  /// Whether the call crossed a real wire; the byte and retry counts are
+  /// meaningful only for kRemote.
   Transport transport = Transport::kInProcess;
-  double round_trip_us = 0.0;  ///< send-to-decode wall time at client
   int64_t bytes_sent = 0;
   int64_t bytes_received = 0;
   int retries = 0;  ///< transient failures absorbed before success

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "crypto/aes_kernel.h"
 #include "xpath/parser.h"
 
@@ -115,7 +114,7 @@ Status DasSystem::RemoteHandle::Connect(
   }
   // Adopt the daemon's resident generation so the first pushed delta is
   // built against the server's actual base — the daemon may serve an
-  // older image of this document, or a v2 image pinned at generation 0.
+  // older image of this document.
   auto stats = das_->remote_->Stats();
   if (stats.ok() && !stats->database.empty()) {
     das_->bundle_generation_ = stats->db_generation;
@@ -156,43 +155,81 @@ Result<PathExpr> DasSystem::ResolveQuery(const char* xpath) {
   return ParseXPath(xpath);
 }
 
-void DasSystem::ApplyEngineTiming(const EngineCallStats& stats,
-                                  QueryCosts* costs) const {
-  costs->server_process_us = stats.server_process_us;
-  if (stats.transport == EngineCallStats::Transport::kRemote) {
-    costs->transmission_us =
-        std::max(0.0, stats.round_trip_us - stats.server_process_us);
-    costs->transmission_source = QueryCosts::TransmissionSource::kMeasured;
+namespace {
+
+/// The context one run records into: the caller's (its deadline kept),
+/// with `local` standing in when the caller brought no trace.
+obs::QueryContext RecordingContext(const obs::QueryContext* caller,
+                                   obs::Trace* local) {
+  obs::QueryContext ctx = caller != nullptr ? *caller : obs::QueryContext();
+  if (ctx.trace == nullptr) ctx.trace = local;
+  return ctx;
+}
+
+}  // namespace
+
+double QueryCosts::*CostFieldOf(std::string_view span_name) {
+  static constexpr std::pair<std::string_view, double QueryCosts::*>
+      kFields[] = {
+          {"translate", &QueryCosts::client_translate_us},
+          {"server", &QueryCosts::server_process_us},
+          {"covers", &QueryCosts::server_process_us},
+          {"transmit", &QueryCosts::transmission_us},
+          {"pir-fetch", &QueryCosts::transmission_us},
+          {"decrypt", &QueryCosts::decrypt_us},
+          {"cache-probe", &QueryCosts::postprocess_us},
+          {"skeleton-parse", &QueryCosts::postprocess_us},
+          {"cache-fill", &QueryCosts::postprocess_us},
+          {"splice", &QueryCosts::postprocess_us},
+          {"postprocess", &QueryCosts::postprocess_us},
+      };
+  for (const auto& [name, field] : kFields) {
+    if (name == span_name) return field;
   }
+  return nullptr;
 }
 
 QueryCosts CostsFromTrace(const obs::Trace& trace) {
+  const std::vector<obs::SpanRecord>& spans = trace.spans();
+  // A span inside a charged span is part of its time (the server's phases).
+  auto inside_charged = [&spans](int parent) {
+    for (int p = parent; p >= 0; p = spans[p].parent) {
+      if (CostFieldOf(spans[p].name) != nullptr) return true;
+    }
+    return false;
+  };
   QueryCosts costs;
-  costs.client_translate_us = trace.TotalUs("translate");
-  costs.server_process_us = trace.TotalUs("server");
-  costs.transmission_us = trace.TotalUs("transmit");
-  costs.decrypt_us = trace.TotalUs("decrypt");
-  costs.postprocess_us =
-      trace.TotalUs("splice") + trace.TotalUs("postprocess");
+  for (const obs::SpanRecord& span : spans) {
+    double QueryCosts::*field = CostFieldOf(span.name);
+    if (field != nullptr && span.closed && !inside_charged(span.parent)) {
+      costs.*field += span.elapsed_us;
+    }
+  }
   return costs;
 }
 
+void DasSystem::RecordSimulatedWire(const EngineCallStats& stats,
+                                    int64_t bytes, obs::Trace* trace) const {
+  if (stats.transport == EngineCallStats::Transport::kInProcess) {
+    trace->Record("transmit", link().EstimateUs(bytes), obs::Trace::kNoParent);
+  }
+}
+
 Result<QueryRun> DasSystem::ExecutePath(const PathExpr& query,
-                                        obs::QueryContext* ctx) const {
-  obs::Trace* trace = obs::TraceOf(ctx);
-  QueryCosts costs;
-  Stopwatch watch;
+                                        obs::QueryContext* caller) const {
+  obs::Trace local;
+  obs::QueryContext ctx = RecordingContext(caller, &local);
+  obs::Trace* trace = ctx.trace;
   obs::Span translate(trace, "translate");
   auto translated = client_->Translate(query);
   translate.End();
-  costs.client_translate_us = watch.ElapsedMicros();
   if (!translated.ok()) return translated.status();
 
   // Advertise cached blocks with the query; payloads stay pinned until
   // post-processing so a concurrent eviction cannot orphan a stub.
   const CachedBlockSet cache_set = client_->AdvertiseCachedBlocks(trace);
   ExecOptions exec;
-  exec.ctx = ctx;
+  exec.ctx = &ctx;
   exec.cached_blocks = cache_set.adverts;
   exec.privacy = tuning_.privacy;
   // Decoy batching (wire v7): sample covers from the local shape history,
@@ -206,68 +243,55 @@ Result<QueryRun> DasSystem::ExecutePath(const PathExpr& query,
   }
   auto result = engine().Execute(*translated, exec);
   if (!result.ok()) return result.status();
-  ApplyEngineTiming(result->stats, &costs);
   XCRYPT_RETURN_NOT_OK(PirSpotCheck(result->response, trace));
 
-  return Finish(query, std::move(*result), costs, std::move(*translated), ctx,
+  return Finish(query, std::move(*result), std::move(*translated), trace,
                 &cache_set);
 }
 
 Result<QueryRun> DasSystem::ExecuteNaivePath(const PathExpr& query,
-                                             obs::QueryContext* ctx) const {
-  QueryCosts costs;
+                                             obs::QueryContext* caller) const {
+  obs::Trace local;
+  obs::QueryContext ctx = RecordingContext(caller, &local);
   ExecOptions exec;
-  exec.ctx = ctx;
+  exec.ctx = &ctx;
   auto result = engine().ExecuteNaive(exec);
   if (!result.ok()) return result.status();
-  ApplyEngineTiming(result->stats, &costs);
-  return Finish(query, std::move(*result), costs, TranslatedQuery{}, ctx);
+  return Finish(query, std::move(*result), TranslatedQuery{}, ctx.trace);
 }
 
 Result<AggregateRun> DasSystem::ExecuteAggregatePath(
-    const PathExpr& path, AggregateKind kind, obs::QueryContext* ctx) const {
-  obs::Trace* trace = obs::TraceOf(ctx);
-  QueryCosts costs;
-  Stopwatch watch;
+    const PathExpr& path, AggregateKind kind,
+    obs::QueryContext* caller) const {
+  obs::Trace local;
+  obs::QueryContext ctx = RecordingContext(caller, &local);
+  obs::Trace* trace = ctx.trace;
   obs::Span translate(trace, "translate");
   auto translated = client_->Translate(path);
   if (!translated.ok()) return translated.status();
   auto token = client_->AggregateIndexToken(path);
   if (!token.ok()) return token.status();
   translate.End();
-  costs.client_translate_us = watch.ElapsedMicros();
 
   const CachedBlockSet cache_set = client_->AdvertiseCachedBlocks(trace);
   ExecOptions exec;
-  exec.ctx = ctx;
+  exec.ctx = &ctx;
   exec.cached_blocks = cache_set.adverts;
   auto result = engine().ExecuteAggregate(*translated, kind, *token, exec);
   if (!result.ok()) return result.status();
-  ApplyEngineTiming(result->stats, &costs);
   const AggregateResponse& response = result->response;
-
-  costs.bytes_shipped = response.payload.TotalBytes() +
+  const int64_t bytes = response.payload.TotalBytes() +
                         static_cast<int64_t>(response.server_value.size());
-  costs.blocks_shipped = static_cast<int>(response.payload.blocks.size());
-  if (!costs.transmission_measured()) {
-    costs.transmission_us = link().EstimateUs(costs.bytes_shipped);
-    if (trace != nullptr) {
-      trace->Record("transmit", costs.transmission_us, obs::Trace::kNoParent);
-    }
-  }
+  RecordSimulatedWire(result->stats, bytes, trace);
 
-  watch.Restart();
-  double decrypt_us = 0.0;
-  auto answer = client_->FinishAggregate(path, response, &decrypt_us, trace,
-                                         &cache_set);
-  const double total_post_us = watch.ElapsedMicros();
+  auto answer = client_->FinishAggregate(path, response, trace, &cache_set);
   if (!answer.ok()) return answer.status();
-  costs.decrypt_us = decrypt_us;
-  costs.postprocess_us = total_post_us - decrypt_us;
 
   AggregateRun run;
   run.answer = std::move(*answer);
-  run.costs = costs;
+  run.costs = CostsFromTrace(*trace);
+  run.costs.bytes_shipped = bytes;
+  run.costs.blocks_shipped = static_cast<int>(response.payload.blocks.size());
   run.engine_stats = std::move(result->stats);
   return run;
 }
@@ -300,15 +324,13 @@ Status DasSystem::PirSpotCheck(const ServerResponse& response,
   // server cannot even see which block the client audited.
   const EncryptedBlock& block = response.blocks.front();
   if (block.id < 0) return Status::Ok();
-  Stopwatch watch;
+  obs::Span pir(trace, "pir-fetch");
   auto record =
       fetcher->Fetch(privacy::kBlockMetaSection,
                      static_cast<uint32_t>(block.id));
+  pir.End();
   if (!record.ok()) return record.status();
   obs::MetricsRegistry::Global().GetCounter("privacy.pir_fetches")->Add(1);
-  if (trace != nullptr) {
-    trace->Record("pir-fetch", watch.ElapsedMicros(), obs::Trace::kNoParent);
-  }
   if (record->size() < privacy::kBlockMetaRecordBytes) {
     return Status::Corruption("block-meta record truncated");
   }
@@ -405,34 +427,19 @@ Result<HostedBundle> DasSystem::ExportBundle(const std::string& name) const {
 
 Result<QueryRun> DasSystem::Finish(const PathExpr& query,
                                    EngineQueryResult engine_run,
-                                   QueryCosts costs, TranslatedQuery translated,
-                                   obs::QueryContext* ctx,
+                                   TranslatedQuery translated,
+                                   obs::Trace* trace,
                                    const CachedBlockSet* cache_set) const {
-  obs::Trace* trace = obs::TraceOf(ctx);
   const ServerResponse& response = engine_run.response;
-  costs.bytes_shipped = response.TotalBytes();
-  costs.blocks_shipped = static_cast<int>(response.blocks.size());
-  if (!costs.transmission_measured()) {
-    costs.transmission_us = link().EstimateUs(costs.bytes_shipped);
-    // The simulated wire enters the trace as a recorded interval (remote
-    // engines record their measured transmission themselves).
-    if (trace != nullptr) {
-      trace->Record("transmit", costs.transmission_us, obs::Trace::kNoParent);
-    }
-  }
-
-  Stopwatch watch;
-  double decrypt_us = 0.0;
-  auto answer =
-      client_->PostProcess(query, response, &decrypt_us, trace, cache_set);
-  const double total_post_us = watch.ElapsedMicros();
+  RecordSimulatedWire(engine_run.stats, response.TotalBytes(), trace);
+  auto answer = client_->PostProcess(query, response, trace, cache_set);
   if (!answer.ok()) return answer.status();
-  costs.decrypt_us = decrypt_us;
-  costs.postprocess_us = total_post_us - decrypt_us;
 
   QueryRun run;
   run.answer = std::move(*answer);
-  run.costs = costs;
+  run.costs = CostsFromTrace(*trace);
+  run.costs.bytes_shipped = response.TotalBytes();
+  run.costs.blocks_shipped = static_cast<int>(response.blocks.size());
   run.translated = std::move(translated);
   run.engine_stats = std::move(engine_run.stats);
   return run;

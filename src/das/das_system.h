@@ -5,6 +5,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -35,31 +36,19 @@ struct SimulatedLink {
 /// Per-query cost breakdown, mirroring the parameters measured in §7.2:
 /// query translation time on the client, query processing time on the
 /// server, transmission time of the answer, decryption time on the client,
-/// and query post-processing time on the client.
+/// and query post-processing time on the client. Every time is a
+/// projection of the query's trace (CostsFromTrace).
 struct QueryCosts {
-  /// Where the transmission figure came from. Simulated and measured wire
-  /// times are different quantities (a model vs a wall clock); tagging the
-  /// source keeps TotalUs from silently mixing them across runs.
-  enum class TransmissionSource {
-    kSimulated,  ///< bytes_shipped over the configured SimulatedLink
-    kMeasured,   ///< measured round trip minus server-reported processing
-  };
-
   double client_translate_us = 0.0;
   double server_process_us = 0.0;
-  /// Wire time, per `transmission_source`: in-process it is simulated from
-  /// bytes_shipped over the configured link; connected to a remote server
-  /// it is real measured wall time.
+  /// Wire time. In-process it is simulated from bytes_shipped over the
+  /// configured link; connected to a remote server it is measured wall
+  /// time. EngineCallStats::transport says which.
   double transmission_us = 0.0;
-  TransmissionSource transmission_source = TransmissionSource::kSimulated;
   double decrypt_us = 0.0;
   double postprocess_us = 0.0;
   int64_t bytes_shipped = 0;
   int blocks_shipped = 0;
-
-  bool transmission_measured() const {
-    return transmission_source == TransmissionSource::kMeasured;
-  }
 
   double TotalUs() const {
     return client_translate_us + server_process_us + transmission_us +
@@ -71,11 +60,16 @@ struct QueryCosts {
   }
 };
 
+/// The QueryCosts field a span name is charged to (DESIGN.md §10 has the
+/// table), or nullptr for a name that is not a cost of its own: the
+/// server's phases (inside "server") and the "decoy-batch" group, whose
+/// children are charged one by one.
+double QueryCosts::*CostFieldOf(std::string_view span_name);
+
 /// Projects a trace produced by DasSystem::Execute onto the §7.2 cost
-/// breakdown — the same decomposition QueryRun::costs reports from
-/// stopwatches, read instead from the span forest ("translate", "server",
-/// "transmit", "decrypt", "splice" + "postprocess"). Wire byte/block
-/// counters are not time and stay 0.
+/// breakdown; QueryRun::costs is exactly this plus the byte counts. Each
+/// closed span is charged to its name's field unless an enclosing span
+/// already was. Wire byte/block counters are not time and stay 0.
 QueryCosts CostsFromTrace(const obs::Trace& trace);
 
 /// One executed query: its answer plus the measured costs.
@@ -83,8 +77,7 @@ struct QueryRun {
   QueryAnswer answer;
   QueryCosts costs;
   TranslatedQuery translated;
-  /// The raw engine-call measurements behind `costs` (server phase
-  /// decomposition; wire facts when the call went over TCP).
+  /// The engine call's wire facts (transport, bytes, retries).
   EngineCallStats engine_stats;
 };
 
@@ -124,9 +117,11 @@ class DasSystem {
   /// Runs the full 5-step protocol of §6 for one query. Every entry
   /// point takes the query as either a parsed PathExpr or an XPath
   /// string — one templated surface forwards both spellings through
-  /// ResolveQuery, so the two stay symmetric by construction. An
-  /// optional context carries a trace (spanning every phase of the run,
-  /// client and server alike) and a deadline the engine respects.
+  /// ResolveQuery, so the two stay symmetric by construction. Every run
+  /// records its phases, client and server alike, as spans: into the
+  /// context's trace when one is given (a fresh trace per call), else
+  /// into a local one. The context may also carry a deadline the engine
+  /// respects.
   template <typename Query>
   Result<QueryRun> Execute(const Query& query,
                            obs::QueryContext* ctx = nullptr) const {
@@ -262,8 +257,7 @@ class DasSystem {
                                             obs::QueryContext* ctx) const;
 
   Result<QueryRun> Finish(const PathExpr& query, EngineQueryResult engine_run,
-                          QueryCosts costs, TranslatedQuery translated,
-                          obs::QueryContext* ctx,
+                          TranslatedQuery translated, obs::Trace* trace,
                           const CachedBlockSet* cache_set = nullptr) const;
 
   /// The active evaluator: the remote stub when attached, else the
@@ -275,11 +269,11 @@ class DasSystem {
   /// The simulated-link cost model for the configured bandwidth.
   SimulatedLink link() const { return SimulatedLink{tuning_.link_mbps}; }
 
-  /// Attributes one engine call's measurements to the server and wire
-  /// phases: remote calls use the measured split, in-process calls are
-  /// pure server time (the wire is simulated later from bytes shipped).
-  void ApplyEngineTiming(const EngineCallStats& stats,
-                         QueryCosts* costs) const;
+  /// An in-process call has no wire: records the link model's estimate
+  /// for `bytes` as the "transmit" span (a remote engine records its
+  /// measured one itself).
+  void RecordSimulatedWire(const EngineCallStats& stats, int64_t bytes,
+                           obs::Trace* trace) const;
 
   /// Finishes one recorded update batch: refreshes the in-process engine,
   /// advances the bundle generation, and (when remote) ships the delta.

@@ -1,6 +1,5 @@
 #include "net/catalog.h"
 
-#include <chrono>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -9,27 +8,6 @@ namespace xcrypt {
 namespace net {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-/// Cheap change detector for a bundle file: mtime (ns) + size. Taken
-/// BEFORE the file is read, so an upload racing the load at worst makes
-/// the fingerprint stale and triggers one extra reload on the next Get —
-/// never a missed update.
-bool Fingerprint(const std::string& path, int64_t* mtime_ns, int64_t* size) {
-  std::error_code ec;
-  const auto mtime = fs::last_write_time(path, ec);
-  if (ec) return false;
-  const auto bytes = fs::file_size(path, ec);
-  if (ec) return false;
-  *mtime_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  mtime.time_since_epoch())
-                  .count();
-  *size = static_cast<int64_t>(bytes);
-  return true;
-}
-
-}  // namespace
 
 BundleCatalog::BundleCatalog(const CatalogOptions& options)
     : options_(options) {}
@@ -139,23 +117,12 @@ Result<std::shared_ptr<const ResidentDb>> BundleCatalog::Get(
       continue;
     }
     if (slot.resident != nullptr && options_.hot_reload && !slot.pinned) {
-      bool changed = false;
-      if (slot.file_has_generation) {
-        // Primary signal for format-v3+ images: the owner-assigned bundle
-        // generation in the file header (a header-only read, no stat
-        // fingerprinting). Robust where mtime+size is not — a same-size
-        // rewrite within the filesystem's mtime granularity still
-        // reloads, and mtime churn on an unchanged file does not.
-        auto header = ReadBundleHeader(slot.path);
-        changed = header.ok() && header->has_generation &&
-                  header->generation != slot.file_generation;
-      } else if (!slot.dirty) {
-        // v2 images carry no generation; fall back to mtime + size.
-        int64_t mtime_ns = 0, size = 0;
-        changed = Fingerprint(slot.path, &mtime_ns, &size) &&
-                  (mtime_ns != slot.file_mtime_ns || size != slot.file_size);
-      }
-      if (changed) {
+      // The owner-assigned bundle generation in the file header is the
+      // freshness signal (a header-only read, no stat fingerprinting): a
+      // same-size rewrite within the filesystem's mtime granularity still
+      // reloads, and mtime churn on an unchanged file does not.
+      auto header = ReadBundleHeader(slot.path);
+      if (header.ok() && header->generation != slot.file_generation) {
         // Owner re-uploaded: unlink the old resident (in-flight handles
         // keep it alive) and fall through to a fresh load.
         slot.resident = nullptr;
@@ -184,8 +151,6 @@ Result<std::shared_ptr<const ResidentDb>> BundleCatalog::LoadSlot(
 
   // Disk read + engine build happen outside the catalog lock: a cold load
   // of one database never stalls queries against the others.
-  int64_t mtime_ns = 0, size = 0;
-  const bool have_fp = Fingerprint(path, &mtime_ns, &size);
   auto header = ReadBundleHeader(path);
   std::shared_ptr<ResidentDb> fresh;
   Status load_status = Status::Ok();
@@ -237,10 +202,7 @@ Result<std::shared_ptr<const ResidentDb>> BundleCatalog::LoadSlot(
   slot.loads += 1;
   fresh->generation_ = slot.loads;
   slot.resident = std::move(fresh);
-  slot.file_mtime_ns = have_fp ? mtime_ns : 0;
-  slot.file_size = have_fp ? size : 0;
-  slot.file_has_generation = header.ok() && header->has_generation;
-  slot.file_generation = slot.file_has_generation ? header->generation : 0;
+  slot.file_generation = header.ok() ? header->generation : 0;
   slot.dirty = false;
   slot.last_used = ++use_tick_;
   std::shared_ptr<const ResidentDb> handle = slot.resident;
@@ -367,12 +329,6 @@ Result<uint64_t> BundleCatalog::ApplyDelta(const std::string& name,
         fresh->bundle_.name = name;
         fresh->engine_ = std::make_unique<ServerEngine>(fresh->mapped_.get());
         ConfigureEngine(fresh.get());
-        int64_t mtime_ns = 0, size = 0;
-        if (Fingerprint(slot.path, &mtime_ns, &size)) {
-          slot.file_mtime_ns = mtime_ns;
-          slot.file_size = size;
-        }
-        slot.file_has_generation = true;
         slot.file_generation = clone->generation;
         dirty = false;
       }

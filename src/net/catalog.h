@@ -26,15 +26,13 @@ struct CatalogOptions {
   /// least-recently-used unpinned database is evicted; in-flight queries
   /// holding its handle finish unharmed (shared_ptr pinning).
   int max_resident = 8;
-  /// Re-fingerprint the backing file on every Get and transparently
-  /// reload when it changed — an updated bundle file swaps in without
-  /// restarting the daemon. Format-v3+ images compare the owner-assigned
-  /// bundle generation (header-only ReadBundleHeader probe); v2 images,
-  /// which carry no generation, fall back to mtime + size.
+  /// Re-read the backing file's header on every Get and transparently
+  /// reload when its owner-assigned bundle generation changed — an
+  /// updated bundle file swaps in without restarting the daemon.
   bool hot_reload = true;
   /// Open format-v4 images through MmapBundleReader instead of an eager
   /// deserialize: index sections fault in on first query and block
-  /// payloads are served straight from the mapping. v2/v3 images always
+  /// payloads are served straight from the mapping. v3 images always
   /// load eagerly regardless of this flag.
   bool map_v4 = true;
   /// Upper bound, in bytes, on the summed ResidentBytes() of unpinned
@@ -68,7 +66,7 @@ class ResidentDb {
   bool is_mapped() const { return mapped_ != nullptr; }
   const MmapBundleReader* mapped() const { return mapped_.get(); }
 
-  /// Owner-assigned bundle generation (0 for generation-less v2 images).
+  /// Owner-assigned bundle generation.
   /// Works for both mapped and eager residents — this, not
   /// bundle().generation, is what freshness/replay checks compare.
   uint64_t owner_generation() const {
@@ -186,18 +184,12 @@ class BundleCatalog {
     bool loading = false;  ///< a thread is off building this engine
     uint64_t loads = 0;    ///< completed loads; source of generation()
     uint64_t last_used = 0;
-    /// Fingerprint of `path` at load time. For format-v3 images the
-    /// owner-assigned bundle generation is the primary freshness signal
-    /// (file_has_generation = true); v2 images fall back to mtime + size.
-    /// A mismatch on Get means the owner re-uploaded → hot reload.
-    int64_t file_mtime_ns = 0;
-    int64_t file_size = 0;
+    /// The header generation of `path` at load time. A mismatch on Get
+    /// means the owner re-uploaded → hot reload.
     uint64_t file_generation = 0;
-    bool file_has_generation = false;
     /// The resident carries delta applies the backing file has not
     /// absorbed yet. A dirty resident must not be evicted (reloading the
-    /// stale file would silently roll the updates back) and mtime churn
-    /// on the stale file must not trigger a reload.
+    /// stale file would silently roll the updates back).
     bool dirty = false;
     std::shared_ptr<const ResidentDb> resident;  ///< null = not loaded
   };

@@ -16,21 +16,23 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Enters one finished remote call into the caller's trace: the daemon's
-/// processing time as a recorded "server" span (with its phase
-/// decomposition as children) and the remainder of the round trip as
-/// "transmit".
-void RecordRemoteSpans(obs::QueryContext* ctx, const EngineCallStats& stats) {
-  obs::Trace* trace = obs::TraceOf(ctx);
-  if (trace == nullptr) return;
-  const int server_id = trace->Record("server", stats.server_process_us,
-                                      obs::Trace::kNoParent);
-  for (const obs::PhaseTiming& phase : stats.server_phases) {
+/// Enters one finished remote call into the caller's trace. `call_us` is
+/// the client's wall time for the whole call (encode, wire, retries,
+/// decode); the daemon reports the real probe's server time and phases
+/// and, for a probe batch, the covers' summed server time. The server
+/// span and its phases go in as reported, "covers" when there were any,
+/// and the rest of the call as "transmit", all under `parent`.
+void RecordRemoteCall(obs::Trace* trace, int parent, double call_us,
+                      double server_us,
+                      const std::vector<obs::PhaseTiming>& phases,
+                      double covers_us = 0.0) {
+  const int server_id = trace->Record("server", server_us, parent);
+  for (const obs::PhaseTiming& phase : phases) {
     trace->Record(phase.name, phase.elapsed_us, server_id);
   }
-  trace->Record("transmit",
-                std::max(0.0, stats.round_trip_us - stats.server_process_us),
-                obs::Trace::kNoParent);
+  if (covers_us > 0.0) trace->Record("covers", covers_us, parent);
+  trace->Record("transmit", std::max(0.0, call_us - server_us - covers_us),
+                parent);
 }
 
 uint64_t DeriveBackoffSeed(const RemoteOptions& options, const void* self) {
@@ -284,7 +286,6 @@ Result<Frame> RemoteServerEngine::RoundTrip(
                              peak, now, std::memory_order_relaxed)) {
     }
 
-    Stopwatch watch;
     Status sent;
     {
       std::lock_guard<std::mutex> lock(transport->send_mu);
@@ -329,7 +330,6 @@ Result<Frame> RemoteServerEngine::RoundTrip(
       reply = std::move(call->reply);
     }
 
-    stats->round_trip_us = watch.ElapsedMicros();
     stats->bytes_sent =
         static_cast<int64_t>(kFrameHeaderBytes + payload.size());
     stats->bytes_received =
@@ -381,6 +381,7 @@ Result<EngineQueryResult> RemoteServerEngine::Execute(
     return Status::Unavailable("deadline expired before remote call");
   }
   if (!opts.cover_queries.empty()) return ExecuteBatch(query, opts);
+  Stopwatch call;
   EngineQueryResult out;
   auto reply = RoundTrip(
       MessageType::kQueryRequest,
@@ -392,9 +393,10 @@ Result<EngineQueryResult> RemoteServerEngine::Execute(
   if (!reply.ok()) return reply.status();
   auto msg = DecodeQueryResponse(reply->payload);
   if (!msg.ok()) return msg.status();
-  out.stats.server_process_us = msg->server_process_us;
-  out.stats.server_phases = std::move(msg->server_phases);
-  RecordRemoteSpans(opts.ctx, out.stats);
+  if (obs::Trace* trace = obs::TraceOf(opts.ctx)) {
+    RecordRemoteCall(trace, obs::Trace::kNoParent, call.ElapsedMicros(),
+                     msg->server_process_us, msg->server_phases);
+  }
   out.response = std::move(msg->response);
   return out;
 }
@@ -417,8 +419,8 @@ Result<EngineQueryResult> RemoteServerEngine::ExecuteBatch(
   probes.insert(probes.end(), opts.cover_queries.begin() + position,
                 opts.cover_queries.end());
 
+  Stopwatch call;
   EngineQueryResult out;
-  Stopwatch watch;
   auto reply = RoundTrip(
       MessageType::kProbeBatchRequest,
       [&] {
@@ -439,11 +441,16 @@ Result<EngineQueryResult> RemoteServerEngine::ExecuteBatch(
   // Cover answers are discarded here, undecrypted; only the real probe's
   // answer leaves this frame.
   QueryResponseMsg& real = msg->answers[position];
-  out.stats.server_process_us = real.server_process_us;
-  out.stats.server_phases = std::move(real.server_phases);
-  RecordRemoteSpans(opts.ctx, out.stats);
   if (obs::Trace* trace = obs::TraceOf(opts.ctx)) {
-    trace->Record("decoy-batch", watch.ElapsedMicros(), obs::Trace::kNoParent);
+    double covers_us = 0.0;
+    for (size_t i = 0; i < msg->answers.size(); ++i) {
+      if (i != position) covers_us += msg->answers[i].server_process_us;
+    }
+    const double call_us = call.ElapsedMicros();
+    const int batch =
+        trace->Record("decoy-batch", call_us, obs::Trace::kNoParent);
+    RecordRemoteCall(trace, batch, call_us, real.server_process_us,
+                     real.server_phases, covers_us);
   }
   out.response = std::move(real.response);
   return out;
@@ -454,6 +461,7 @@ Result<EngineQueryResult> RemoteServerEngine::ExecuteNaive(
   if (opts.ctx != nullptr && opts.ctx->Expired()) {
     return Status::Unavailable("deadline expired before remote call");
   }
+  Stopwatch call;
   EngineQueryResult out;
   auto reply = RoundTrip(MessageType::kNaiveRequest,
                          [&] { return EncodeNaiveRequest(DbFor(opts)); },
@@ -461,9 +469,10 @@ Result<EngineQueryResult> RemoteServerEngine::ExecuteNaive(
   if (!reply.ok()) return reply.status();
   auto msg = DecodeQueryResponse(reply->payload);
   if (!msg.ok()) return msg.status();
-  out.stats.server_process_us = msg->server_process_us;
-  out.stats.server_phases = std::move(msg->server_phases);
-  RecordRemoteSpans(opts.ctx, out.stats);
+  if (obs::Trace* trace = obs::TraceOf(opts.ctx)) {
+    RecordRemoteCall(trace, obs::Trace::kNoParent, call.ElapsedMicros(),
+                     msg->server_process_us, msg->server_phases);
+  }
   out.response = std::move(msg->response);
   return out;
 }
@@ -474,6 +483,7 @@ Result<EngineAggregateResult> RemoteServerEngine::ExecuteAggregate(
   if (opts.ctx != nullptr && opts.ctx->Expired()) {
     return Status::Unavailable("deadline expired before remote call");
   }
+  Stopwatch call;
   EngineAggregateResult out;
   auto reply = RoundTrip(
       MessageType::kAggregateRequest,
@@ -486,9 +496,10 @@ Result<EngineAggregateResult> RemoteServerEngine::ExecuteAggregate(
   if (!reply.ok()) return reply.status();
   auto msg = DecodeAggregateResponse(reply->payload);
   if (!msg.ok()) return msg.status();
-  out.stats.server_process_us = msg->server_process_us;
-  out.stats.server_phases = std::move(msg->server_phases);
-  RecordRemoteSpans(opts.ctx, out.stats);
+  if (obs::Trace* trace = obs::TraceOf(opts.ctx)) {
+    RecordRemoteCall(trace, obs::Trace::kNoParent, call.ElapsedMicros(),
+                     msg->server_process_us, msg->server_phases);
+  }
   out.response = std::move(msg->response);
   return out;
 }

@@ -90,11 +90,11 @@ class RemoteServerEngine : public QueryEngine, public privacy::PirTransport {
 
   ~RemoteServerEngine() override;
 
-  /// Per-call measurements (round trip, wire bytes, retries, the daemon's
-  /// reported processing time and phase decomposition) come back inside
-  /// the result, so any number of threads can share one stub without
-  /// sharing any mutable measurement. A context's trace receives the call
-  /// as recorded "server" (+ phases) and "transmit" spans.
+  /// Per-call wire facts (bytes, retries) come back inside the result, so
+  /// any number of threads can share one stub without sharing any mutable
+  /// measurement. A context's trace receives the call's time: the
+  /// daemon-reported "server" span (+ its phases) and the rest of the
+  /// call as "transmit".
   Result<EngineQueryResult> Execute(
       const TranslatedQuery& query,
       const ExecOptions& opts = ExecOptions()) const override;
@@ -197,7 +197,10 @@ class RemoteServerEngine : public QueryEngine, public privacy::PirTransport {
 
   /// The probe-batch path of Execute: mixes the real query into
   /// opts.cover_queries at a jitter-chosen position, sends one
-  /// kProbeBatchRequest, and keeps only the real probe's answer.
+  /// kProbeBatchRequest, and keeps only the real probe's answer. The
+  /// trace gets one "decoy-batch" span over the call, holding the real
+  /// probe's "server", the covers' summed server time as "covers", and
+  /// the rest as "transmit".
   Result<EngineQueryResult> ExecuteBatch(const TranslatedQuery& query,
                                          const ExecOptions& opts) const;
 

@@ -43,15 +43,21 @@ FrameParts ErrorFrame(const Status& error, uint64_t frame_id,
                           {EncodeError(error, retry_after_ms)}, frame_id);
 }
 
+/// The daemon's own measure of one served call, read from the call's
+/// trace: the engine's "server" span and that span's phases. The response
+/// frame reports both back to the client.
+struct ServerTiming {
+  double server_us = 0.0;
+  std::vector<obs::PhaseTiming> phases;
+};
+
 /// Runs one engine call the way every served query-class request runs:
-/// traced (the phase decomposition rides back inside the response) and
-/// with the client's cache advert. On success ticks `served` and records
-/// the call's wall time in `latency`.
+/// traced, with the client's cache advert. On success fills `timing`,
+/// ticks `served` and records the server time in `latency`.
 template <typename Call>
 auto TracedCall(std::span<const BlockAdvert> cached,
                 std::atomic<uint64_t>& served, obs::Histogram* latency,
-                Call&& call) {
-  Stopwatch watch;
+                ServerTiming* timing, Call&& call) {
   obs::Trace trace;
   obs::QueryContext qctx;
   qctx.trace = &trace;
@@ -60,8 +66,11 @@ auto TracedCall(std::span<const BlockAdvert> cached,
   exec.cached_blocks = cached;
   auto result = call(exec);
   if (result.ok()) {
+    // The engine opens "server" before anything else: it is span 0.
+    timing->server_us = trace.TotalUs("server");
+    timing->phases = trace.ChildPhaseTotals(0);
     served.fetch_add(1, std::memory_order_relaxed);
-    latency->Observe(watch.ElapsedMicros());
+    latency->Observe(timing->server_us);
   }
   return result;
 }
@@ -69,13 +78,12 @@ auto TracedCall(std::span<const BlockAdvert> cached,
 /// Frames a query or naive evaluation as a kQueryResponse, moving large
 /// ciphertexts into their own writev segments.
 Result<FrameParts> QueryReply(Result<EngineQueryResult> result,
-                              uint64_t frame_id) {
+                              const ServerTiming& timing, uint64_t frame_id) {
   if (!result.ok()) return result.status();
   return EncodeFrameParts(
       MessageType::kQueryResponse,
-      EncodeQueryResponseParts(std::move(result->response),
-                               result->stats.server_process_us,
-                               result->stats.server_phases),
+      EncodeQueryResponseParts(std::move(result->response), timing.server_us,
+                               timing.phases),
       frame_id);
 }
 
@@ -929,12 +937,13 @@ Result<FrameParts> NetServer::Dispatch(const Frame& frame) {
       if (!request.ok()) return request.status();
       auto db = ResolveDb(request->db);
       if (!db.ok()) return db.status();
+      ServerTiming timing;
       auto result = TracedCall(
-          request->cached, queries_served_, query_latency_,
+          request->cached, queries_served_, query_latency_, &timing,
           [&](const ExecOptions& exec) {
             return (*db)->engine().Execute(request->query, exec);
           });
-      return QueryReply(std::move(result), id);
+      return QueryReply(std::move(result), timing, id);
     }
     case MessageType::kProbeBatchRequest: {
       auto batch = DecodeProbeBatchRequest(frame.payload);
@@ -950,15 +959,15 @@ Result<FrameParts> NetServer::Dispatch(const Frame& frame) {
       std::vector<Bytes> answers;
       answers.reserve(batch->probes.size());
       for (const TranslatedQuery& probe : batch->probes) {
+        ServerTiming timing;
         auto result = TracedCall(
-            batch->cached, queries_served_, query_latency_,
+            batch->cached, queries_served_, query_latency_, &timing,
             [&](const ExecOptions& exec) {
               return (*db)->engine().Execute(probe, exec);
             });
         if (!result.ok()) return result.status();
-        answers.push_back(EncodeQueryResponse(result->response,
-                                              result->stats.server_process_us,
-                                              result->stats.server_phases));
+        answers.push_back(EncodeQueryResponse(
+            result->response, timing.server_us, timing.phases));
       }
       return EncodeFrameParts(
           MessageType::kProbeBatchResponse,
@@ -998,19 +1007,22 @@ Result<FrameParts> NetServer::Dispatch(const Frame& frame) {
       if (!request.ok()) return request.status();
       auto db = ResolveDb(request->db);
       if (!db.ok()) return db.status();
+      ServerTiming timing;
       auto result = TracedCall(
-          {}, naive_served_, naive_latency_, [&](const ExecOptions& exec) {
+          {}, naive_served_, naive_latency_, &timing,
+          [&](const ExecOptions& exec) {
             return (*db)->engine().ExecuteNaive(exec);
           });
-      return QueryReply(std::move(result), id);
+      return QueryReply(std::move(result), timing, id);
     }
     case MessageType::kAggregateRequest: {
       auto request = DecodeAggregateRequest(frame.payload);
       if (!request.ok()) return request.status();
       auto db = ResolveDb(request->db);
       if (!db.ok()) return db.status();
+      ServerTiming timing;
       auto result = TracedCall(
-          request->cached, aggregates_served_, aggregate_latency_,
+          request->cached, aggregates_served_, aggregate_latency_, &timing,
           [&](const ExecOptions& exec) {
             return (*db)->engine().ExecuteAggregate(
                 request->query, request->kind, request->index_token, exec);
@@ -1019,8 +1031,7 @@ Result<FrameParts> NetServer::Dispatch(const Frame& frame) {
       return EncodeFrameParts(
           MessageType::kAggregateResponse,
           EncodeAggregateResponseParts(std::move(result->response),
-                                       result->stats.server_process_us,
-                                       result->stats.server_phases),
+                                       timing.server_us, timing.phases),
           id);
     }
     case MessageType::kUpdateRequest: {

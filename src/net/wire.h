@@ -117,8 +117,8 @@ struct NetStats {
   /// Which database num_blocks/ciphertext_bytes describe: the
   /// one named in the stats request, or the daemon's default.
   std::string database;
-  /// Resident bundle generation of `database`; 0 when unknown
-  /// (no database resolved, or a v2 image that carries no generation).
+  /// Resident bundle generation of `database`; 0 when no database
+  /// resolved.
   /// Owners sync on this at attach so deltas build against the server's
   /// actual base.
   uint64_t db_generation = 0;

@@ -165,7 +165,8 @@ class Span {
 /// Per-call evaluation context threaded through the engine surface:
 /// an optional trace to fill and an optional deadline to respect. A null
 /// QueryContext* (the default everywhere) means "no tracing, no
-/// deadline" and takes the fast path.
+/// deadline" to an engine, which then takes the fast path; DasSystem
+/// records into a local trace instead, since its costs are read from one.
 struct QueryContext {
   Trace* trace = nullptr;
   /// Absolute steady-clock point after which engines abort with

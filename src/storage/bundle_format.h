@@ -43,7 +43,6 @@ namespace xcrypt {
 namespace storage_internal {
 
 constexpr uint32_t kBundleMagic = 0x58435231;  // "XCR1"
-constexpr uint32_t kFormatV2 = 2;
 constexpr uint32_t kFormatV3 = 3;
 constexpr uint32_t kFormatV4 = 4;
 

@@ -18,14 +18,14 @@ namespace {
 
 namespace si = storage_internal;
 
-/// v2: each block carries its generation (wire v3 cache coherence), so a
-/// re-hosted daemon keeps stubbing correctly for clients with warm caches.
-/// v3: the image carries its own database name and bundle generation
-/// right after the header, so a multi-tenant catalog can identify and
+/// v3: each block carries its generation (wire v3 cache coherence), and
+/// the image carries its own database name and bundle generation right
+/// after the header, so a multi-tenant catalog can identify and
 /// version-track a bundle without trusting the filename.
 /// v4: section-table layout for mmap'd hosting (storage/bundle_format.h).
+/// Older images are refused as Unsupported.
 constexpr uint32_t kMaxVersion = si::kFormatV4;
-constexpr uint32_t kMinVersion = si::kFormatV2;
+constexpr uint32_t kMinVersion = si::kFormatV3;
 
 using Writer = BinaryWriter;
 using Reader = BinaryReader;
@@ -298,7 +298,7 @@ Result<HostedBundle> DeserializeBundle(const Bytes& image,
     if (!parsed.ok()) return parsed.status();
     bundle = std::move(*parsed);
   }
-  if (version >= si::kFormatV3 && version != si::kFormatV4) {
+  if (version == si::kFormatV3) {
     bundle.name = r.Str();
     bundle.generation = r.U64();
     if (r.failed()) return Status::Corruption("truncated bundle header");
@@ -454,12 +454,9 @@ Result<BundleHeader> ReadBundleHeader(const std::string& path) {
     return Status::Unsupported("bundle version " +
                                std::to_string(header.version));
   }
-  if (header.version >= si::kFormatV3) {
-    header.name = r.Str();
-    header.generation = r.U64();
-    if (r.failed()) return Status::Corruption("truncated bundle header");
-    header.has_generation = true;
-  }
+  header.name = r.Str();
+  header.generation = r.U64();
+  if (r.failed()) return Status::Corruption("truncated bundle header");
   return header;
 }
 

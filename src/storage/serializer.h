@@ -15,11 +15,10 @@ namespace xcrypt {
 struct HostedBundle {
   EncryptedDatabase database;
   Metadata metadata;
-  /// Self-declared database name (format v3+); empty for v2 images. A
-  /// catalog routes by filename stem and rejects images whose declared
+  /// Self-declared database name (may be empty). A catalog routes by filename stem and rejects images whose declared
   /// name disagrees with that routing (pass `expected_name` below).
   std::string name;
-  /// Owner-assigned bundle generation (format v3+): bumped on re-upload so
+  /// Owner-assigned bundle generation: bumped on re-upload so
   /// a catalog can tell a genuinely newer bundle from a same-age rewrite.
   uint64_t generation = 0;
 };
@@ -48,10 +47,9 @@ Bytes SerializeBundle(const EncryptedDatabase& database,
                       uint64_t generation = 0,
                       BundleFormat format = BundleFormat::kV3);
 
-/// Parses an image produced by SerializeBundle — any supported version
-/// (v2 through v4). Fails with Corruption on truncated or malformed input
-/// and with Unsupported on a version mismatch. v2 images (no
-/// name/generation) still load, with those fields defaulted. When
+/// Parses an image produced by SerializeBundle — v3 or v4. Fails with
+/// Corruption on truncated or malformed input and with Unsupported on any
+/// other version (older v2 images included). When
 /// `expected_name` is non-empty and the image declares a different
 /// non-empty name, the image is rejected with InvalidArgument: a catalog
 /// that routes by filename stem must not silently serve a bundle under a
@@ -59,13 +57,11 @@ Bytes SerializeBundle(const EncryptedDatabase& database,
 Result<HostedBundle> DeserializeBundle(
     const Bytes& image, const std::string& expected_name = std::string());
 
-/// Header fields readable without parsing the whole image. For v2 files
-/// `name` is empty and `has_generation` is false.
+/// Header fields readable without parsing the whole image.
 struct BundleHeader {
   uint32_t version = 0;
   std::string name;
   uint64_t generation = 0;
-  bool has_generation = false;
 };
 
 /// Reads just the magic/version/name/generation prefix of a bundle file

@@ -200,23 +200,21 @@ void WriteAsV2(const std::string& path, const HostedBundle& bundle) {
   ASSERT_EQ(std::fclose(f), 0);
 }
 
-TEST_F(CatalogTest, V2ImagesFallBackToMtimeSizeFingerprint) {
+TEST_F(CatalogTest, V2ImagesRefusedAsUnsupported) {
   WriteAsV2(PathFor("legacy"), MakeBundle(14));
+  SaveAs("alpha", MakeBundle(5));
   auto catalog = BundleCatalog::Open(dir_.path().string());
   ASSERT_TRUE(catalog.ok());
 
-  auto before = (*catalog)->Get("legacy");
-  ASSERT_TRUE(before.ok()) << before.status().ToString();
-  EXPECT_EQ((*before)->bundle().generation, 0u);  // v2: no stamp
-  EXPECT_TRUE((*before)->bundle().name.empty());
-
-  // A rewrite with different content (hence size) still hot-reloads via
-  // the pre-v3 mtime+size fingerprint.
-  WriteAsV2(PathFor("legacy"), MakeBundle(15));
-  auto after = (*catalog)->Get("legacy");
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ((*after)->generation(), 2u);
-  EXPECT_NE(before->get(), after->get());
+  // A v2 image carries no header generation, so the catalog cannot
+  // version-track it: it is refused, and its neighbours still serve.
+  auto legacy = (*catalog)->Get("legacy");
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_EQ(legacy.status().code(), StatusCode::kUnsupported);
+  auto header = ReadBundleHeader(PathFor("legacy"));
+  ASSERT_FALSE(header.ok());
+  EXPECT_EQ(header.status().code(), StatusCode::kUnsupported);
+  EXPECT_TRUE((*catalog)->Get("alpha").ok());
 }
 
 TEST_F(CatalogTest, ReloadForcesFreshLoadWithoutFileChange) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "das/das_system.h"
 #include "data/healthcare.h"
 #include "data/nasa_generator.h"
@@ -93,13 +96,22 @@ Corpus MakeCorpus(const std::string& name) {
           }};
 }
 
+// gtest lists each case with a hex dump of its parameter's bytes, so this
+// layout is fixed and fully initialised to keep the listed names the same in
+// every build and environment. When `corpus` was a std::string the dump began
+// with a heap address, and the cases are tracked under the names one build
+// printed; `listed_as` keeps those two leading bytes.
 struct Case {
-  std::string corpus;
-  SchemeKind kind;
+  uint16_t listed_as = 0x19D0;
+  char corpus[30] = {};
+  SchemeKind kind = SchemeKind::kOptimal;
+  uint32_t reserved = 0;
 };
+static_assert(sizeof(Case) == 40, "the byte dump is part of each test name");
 
 std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
-  return info.param.corpus + "_" + SchemeKindName(info.param.kind);
+  return std::string(info.param.corpus) + "_" +
+         SchemeKindName(info.param.kind);
 }
 
 class ProtocolTest : public ::testing::TestWithParam<Case> {};
@@ -167,7 +179,10 @@ std::vector<Case> AllCases() {
   for (const char* corpus : {"healthcare", "hospital", "xmark", "nasa"}) {
     for (SchemeKind kind : {SchemeKind::kOptimal, SchemeKind::kApproximate,
                             SchemeKind::kSub, SchemeKind::kTop}) {
-      cases.push_back({corpus, kind});
+      Case c;
+      std::strncpy(c.corpus, corpus, sizeof(c.corpus) - 1);
+      c.kind = kind;
+      cases.push_back(c);
     }
   }
   return cases;

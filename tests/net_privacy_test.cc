@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/timer.h"
 #include "core/client.h"
 #include "das/das_system.h"
 #include "data/healthcare.h"
@@ -814,6 +815,69 @@ TEST_P(DasPrivacyTest, DecoysPreserveAnswersAcrossSchemes) {
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded->shape_log_size(),
             static_cast<size_t>(executed));
+}
+
+// A probe batch is one round trip: its "decoy-batch" span holds the real
+// probe's server time, the covers' server time and the wire as three
+// children, so the top-level spans never count the batch twice.
+TEST_P(DasPrivacyTest, DecoyBatchSpansStayInsideExecute) {
+  ClientTuning tuning;
+  tuning.privacy.decoys = 4;
+  tuning.privacy_seed = 13;
+  Hosted hosted = HostAndServe(tuning);
+  const std::vector<std::string> queries = {
+      "//patient[pname='Betty']//disease",
+      "//patient[.//disease='diarrhea']//SSN",
+      "//treat[doctor='Smith']/disease",
+      "//patient//SSN",
+  };
+  // Warm-up: fills the shape log, so every measured query carries covers.
+  for (const std::string& xpath : queries) {
+    ASSERT_TRUE(hosted.das->Execute(xpath).ok()) << xpath;
+  }
+
+  int batches = 0;
+  for (const std::string& xpath : queries) {
+    const PathExpr expr = *ParseXPath(xpath);
+    obs::Trace trace;
+    obs::QueryContext ctx;
+    ctx.trace = &trace;
+    Stopwatch watch;
+    auto run = hosted.das->Execute(expr, &ctx);
+    const double wall_us = watch.ElapsedMicros();
+    ASSERT_TRUE(run.ok()) << xpath << ": " << run.status().ToString();
+
+    double top_us = 0.0;
+    int batch = -1;
+    const std::vector<obs::SpanRecord>& spans = trace.spans();
+    for (size_t i = 0; i < spans.size(); ++i) {
+      if (spans[i].parent != obs::Trace::kNoParent) continue;
+      top_us += spans[i].elapsed_us;
+      if (spans[i].name == "decoy-batch") batch = static_cast<int>(i);
+    }
+    EXPECT_LE(top_us, wall_us) << xpath;
+    ASSERT_GE(batch, 0) << xpath;
+    ++batches;
+
+    std::vector<std::string> children;
+    double children_us = 0.0;
+    for (const obs::SpanRecord& span : spans) {
+      if (span.parent != batch) continue;
+      children.push_back(span.name);
+      children_us += span.elapsed_us;
+    }
+    EXPECT_EQ(children,
+              (std::vector<std::string>{"server", "covers", "transmit"}))
+        << xpath;
+    EXPECT_NEAR(children_us, spans[batch].elapsed_us,
+                1e-6 * spans[batch].elapsed_us)
+        << xpath;
+    // The covers are server work the client waited for.
+    EXPECT_DOUBLE_EQ(run->costs.server_process_us,
+                     trace.TotalUs("server") + trace.TotalUs("covers"))
+        << xpath;
+  }
+  EXPECT_EQ(batches, static_cast<int>(queries.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -185,13 +185,15 @@ TEST(StorageCorruptionTest, RandomMutationFuzzNeverCrashes) {
 }
 
 TEST(StorageCorruptionTest, OversizedCountRejectedBeforeAllocating) {
-  // A 14-byte image claiming two billion document nodes: the reader must
+  // A 25-byte image claiming two billion document nodes: the reader must
   // notice the suffix cannot possibly hold them and reject immediately,
   // instead of looping (or reserving) its way toward out-of-memory.
   Bytes image;
   BinaryWriter w(&image);
   w.U32(0x58435231);  // bundle magic "XCR1"
-  w.U32(2);           // version
+  w.U32(3);           // version
+  w.Str("");          // database name
+  w.U64(0);           // bundle generation
   w.I32(0x7fffff00);  // node count
   w.U8(0);            // a lone stray byte of "node data"
   const auto bundle = DeserializeBundle(image);
